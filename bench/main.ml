@@ -1196,7 +1196,6 @@ let ablate () =
     [ 4; 8 ]
 
 let () =
-  Core.Jit_options.bootstrap ();
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   (match what with
    | "fig8" -> fig8 ()

@@ -20,10 +20,8 @@
         hhvm_run --trace link,exit --trace-out t.trace.jsonl prog.mphp
 
     Option resolution is consolidated in [Core.Jit_options]: flags set
-    explicit fields, [resolve] (run once at engine install) folds in
-    environment fallbacks with flag > env > default precedence, and
-    [bootstrap] (called once below) applies the process-global
-    INTERP_THREADED selector. *)
+    explicit fields, and [resolve] (run once at engine install) folds in
+    environment fallbacks with flag > env > default precedence. *)
 
 open Cmdliner
 
@@ -93,15 +91,6 @@ let opts_term : Core.Jit_options.t Term.t =
     Arg.(value & flag
          & info [ "no-method-dispatch" ]
            ~doc:"Disable method-dispatch optimization and inline caches")
-  in
-  let no_interp_threaded =
-    Arg.(value & flag
-         & info [ "no-interp-threaded" ]
-           ~doc:"Use the legacy match-on-variant interpreter loop instead \
-                 of the flattened closure-threaded dispatch (also \
-                 INTERP_THREADED=0; the flag wins).  Outputs are \
-                 bit-identical; this exists for differential testing and \
-                 triage")
   in
   let no_stats =
     Arg.(value & flag
@@ -179,12 +168,11 @@ let opts_term : Core.Jit_options.t Term.t =
                  returning the evicted bytes to the code budget (also \
                  TC_COMPACT=1)")
   in
-  let mk mode no_rce no_inlining no_relax no_dispatch no_interp_threaded
+  let mk mode no_rce no_inlining no_relax no_dispatch
       no_stats jit_workers request_workers trace trace_out spans
       snapshot_out snapshot_interval tc_evict_threshold tc_compact =
     let opts = Core.Jit_options.default () in
     opts.mode <- mode;
-    if no_interp_threaded then opts.interp_threaded <- Some false;
     if jit_workers > 0 then opts.jit_workers <- jit_workers;
     if request_workers > 0 then opts.request_workers <- request_workers;
     if no_rce then opts.rce <- false;
@@ -206,7 +194,7 @@ let opts_term : Core.Jit_options.t Term.t =
     opts
   in
   Term.(const mk $ mode $ no_rce $ no_inlining $ no_relax $ no_dispatch
-        $ no_interp_threaded $ no_stats $ jit_workers $ request_workers
+        $ no_stats $ jit_workers $ request_workers
         $ trace $ trace_out $ spans $ snapshot_out $ snapshot_interval
         $ tc_evict_threshold $ tc_compact)
 
@@ -672,6 +660,4 @@ let argv =
     Array.append [| argv.(0); "run" |] (Array.sub argv 1 (Array.length argv - 1))
   else argv
 
-let () =
-  Core.Jit_options.bootstrap ();
-  exit (Cmd.eval ~argv cmd)
+let () = exit (Cmd.eval ~argv cmd)

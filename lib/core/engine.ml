@@ -192,9 +192,12 @@ let ensure_fid (eng : t) (fid : int) : unit =
       grow eng.nocompile (fun i -> Array.make (body_len eng.hunit i + 1) false)
   end
 
-let find_slot (eng : t) (fid : int) (pc : int) : slot option =
-  if fid < Array.length eng.trans then
-    let row = eng.trans.(fid) in
+(** Slot lookup in a dense srckey table: the live [eng.trans] or a frozen
+    epoch's [ep_trans]. *)
+let slot_at (tbl : slot option array array) (fid : int) (pc : int)
+  : slot option =
+  if fid < Array.length tbl then
+    let row = tbl.(fid) in
     if pc < Array.length row then row.(pc) else None
   else None
 
@@ -451,12 +454,26 @@ let entry_matches (frame : Vm.Interp.frame) (en : Translation.entry) : bool =
   end;
   matched
 
-(** Slot lookup against a frozen epoch (parallel-serving dispatch). *)
-let epoch_slot (ep : epoch) (fid : int) (pc : int) : slot option =
-  if fid < Array.length ep.ep_trans then
-    let row = ep.ep_trans.(fid) in
-    if pc < Array.length row then row.(pc) else None
-  else None
+(** First entry along [sl]'s retranslation chain whose preconditions hold
+    for the live state: translations in chain order, each one's entries in
+    order, so the guards charged by [entry_matches] are the same for every
+    caller. *)
+let chain_find (frame : Vm.Interp.frame) (sl : slot)
+  : (Translation.t * Translation.entry) option =
+  let found = ref None in
+  let i = ref 0 in
+  while !found = None && !i < sl.sl_len do
+    let tr = sl.sl_chain.(!i) in
+    let entries = tr.Translation.tr_entries in
+    let j = ref 0 in
+    while !found = None && !j < Array.length entries do
+      let en = entries.(!j) in
+      if entry_matches frame en then found := Some (tr, en);
+      incr j
+    done;
+    incr i
+  done;
+  !found
 
 (** Find a translation entry whose preconditions hold for the live state.
     The monomorphic last-hit cache is consulted first: steady-state
@@ -470,8 +487,8 @@ let select_entry (eng : t) (sx : serve_ctx option) (frame : Vm.Interp.frame)
   let fid = frame.func.fn_id in
   let slot =
     match sx with
-    | None -> find_slot eng fid pc
-    | Some c -> epoch_slot c.sx_epoch fid pc
+    | None -> slot_at eng.trans fid pc
+    | Some c -> slot_at c.sx_epoch.ep_trans fid pc
   in
   match slot with
   | None -> None
@@ -505,116 +522,74 @@ let select_entry (eng : t) (sx : serve_ctx option) (frame : Vm.Interp.frame)
     match mono_hit with
     | Some _ -> mono_hit
     | None ->
-      let chain = sl.sl_chain in
-      let found = ref None in
-      let i = ref 0 in
-      while !found = None && !i < sl.sl_len do
-        let tr = chain.(!i) in
-        let entries = tr.Translation.tr_entries in
-        let j = ref 0 in
-        while !found = None && !j < Array.length entries do
-          let en = entries.(!j) in
-          if entry_matches frame en then found := Some (tr, en);
-          incr j
-        done;
-        incr i
-      done;
-      (match !found with
+      let found = chain_find frame sl in
+      (match found with
        | Some _ ->
          Obs.Vmstats.bump c_chain_hit;
          Obs.Vmstats.observe h_chain_len sl.sl_len;
-         if eng.opts.dispatch_caches then mono_set !found
+         if eng.opts.dispatch_caches then mono_set found
        | None -> Obs.Vmstats.bump c_chain_miss);
-      !found
+      found
+
+(* ------------------------------------------------------------------ *)
+(* Epoch publish                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** Publish the dispatch state as a new immutable epoch (single atomic
+    store).  Rows are rebuilt from the live tables as trimmed private slot
+    copies, so no later main-domain mutation (lazy compiles, chain growth,
+    mono-cache updates) can reach a published view; in-flight requests
+    keep dispatching on the epoch they pinned and adopt this one at their
+    next request boundary.
+
+    Without [fids] every row is rebuilt: [install] (the empty gen-0
+    epoch), the end of every retranslate-all, compaction, jumpstart
+    adoption, and a scheduler before fanning out.  With [~fids] only those
+    functions' rows are rebuilt and every other row is shared with the
+    previous epoch: a queue drain passes the functions its translations
+    landed in, an eviction those whose chains shrank.  This is exact
+    because inside a burst every write to [eng.trans] happens under the
+    write lease and is followed by a publish, and the burst starts with a
+    full one — the live rows are the previous epoch's rows plus what was
+    just drained or evicted.  Only a [~fids] publish counts as
+    [epoch.delta_publish]; [~fids:[]] publishes nothing.  Write-lease
+    holder (or main domain) only, so the sequence of epochs is total. *)
+let publish_epoch ?(fids : int list option) (eng : t) : unit =
+  if fids <> Some [] then begin
+    let freeze_row =
+      Array.map
+        (Option.map (fun (sl : slot) ->
+             { sl_chain = Array.sub sl.sl_chain 0 sl.sl_len;
+               sl_len = sl.sl_len;
+               sl_mono = None }))
+    in
+    let prev = Atomic.get eng.published in
+    let ep_trans =
+      match fids with
+      | None -> Array.map freeze_row eng.trans
+      | Some fids ->
+        Obs.Vmstats.bump c_epoch_delta;
+        let rows =
+          Array.init (Array.length eng.trans) (fun fid ->
+              if fid < Array.length prev.ep_trans then prev.ep_trans.(fid)
+              else [||])
+        in
+        List.iter (fun fid -> rows.(fid) <- freeze_row eng.trans.(fid)) fids;
+        rows
+    in
+    let lo, hi = Simcpu.Codecache.main_range eng.cache in
+    Atomic.set eng.published
+      { ep_seq = prev.ep_seq + 1;
+        ep_gen = eng.generation;
+        ep_trans;
+        ep_huge = eng.opts.huge_pages && eng.optimized_published;
+        ep_main_lo = lo;
+        ep_main_hi = hi }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Lazy in-burst translation (write lease + incremental epoch publish) *)
 (* ------------------------------------------------------------------ *)
-
-(** Layer freshly compiled translations onto the current epoch as a delta
-    (incremental publish): copy the outer table, build fresh rows only
-    for the affected functions, and append each translation to a private
-    copy of its chain — rows of untouched functions are shared with the
-    previous epoch, which is safe because published slots are never
-    mutated.  One atomic store makes the delta visible; workers adopt it
-    at their next [begin_request] boundary.  Write-lease holder (or main
-    domain) only, so the sequence of published epochs is total. *)
-let publish_epoch_delta (eng : t) (trs : Translation.t list) : unit =
-  if trs <> [] then begin
-    let prev = Atomic.get eng.published in
-    let nfid =
-      List.fold_left
-        (fun a (tr : Translation.t) -> max a (tr.Translation.tr_fid + 1))
-        (Array.length prev.ep_trans) trs
-    in
-    let ep_trans = Array.make nfid [||] in
-    Array.blit prev.ep_trans 0 ep_trans 0 (Array.length prev.ep_trans);
-    List.iter
-      (fun (tr : Translation.t) ->
-         let fid = tr.Translation.tr_fid and pc = tr.Translation.tr_srckey in
-         let row0 = ep_trans.(fid) in
-         let row = Array.make (max (Array.length row0) (pc + 1)) None in
-         Array.blit row0 0 row 0 (Array.length row0);
-         let chain =
-           match row.(pc) with
-           | Some sl -> Array.append (Array.sub sl.sl_chain 0 sl.sl_len) [| tr |]
-           | None -> [| tr |]
-         in
-         row.(pc) <-
-           Some { sl_chain = chain; sl_len = Array.length chain;
-                  sl_mono = None };
-         ep_trans.(fid) <- row)
-      trs;
-    let lo, hi = Simcpu.Codecache.main_range eng.cache in
-    Obs.Vmstats.bump c_epoch_delta;
-    Atomic.set eng.published
-      { ep_seq = prev.ep_seq + 1;
-        ep_gen = prev.ep_gen;
-        ep_trans;
-        ep_huge = prev.ep_huge;
-        ep_main_lo = lo;
-        ep_main_hi = hi }
-  end
-
-(** Republish the affected functions' dispatch rows from the live tables
-    (the eviction counterpart of {!publish_epoch_delta}: that one layers
-    appended chains onto the previous epoch; this one replaces whole rows
-    after chains shrank).  Same incremental shape — rows of untouched
-    functions are shared with the previous epoch, the generation is
-    unchanged, one atomic store publishes — so adopting workers keep their
-    monomorphic caches and serving never pauses.  Write-lease holder
-    only. *)
-let publish_epoch_rebuild (eng : t) (fids : int list) : unit =
-  if fids <> [] then begin
-    let prev = Atomic.get eng.published in
-    let freeze_slot (sl : slot) : slot =
-      { sl_chain = Array.sub sl.sl_chain 0 sl.sl_len;
-        sl_len = sl.sl_len;
-        sl_mono = None }
-    in
-    let nfid =
-      List.fold_left (fun a fid -> max a (fid + 1))
-        (Array.length prev.ep_trans) fids
-    in
-    let ep_trans = Array.make nfid [||] in
-    Array.blit prev.ep_trans 0 ep_trans 0 (Array.length prev.ep_trans);
-    List.iter
-      (fun fid ->
-         ep_trans.(fid) <-
-           (if fid < Array.length eng.trans then
-              Array.map (Option.map freeze_slot) eng.trans.(fid)
-            else [||]))
-      fids;
-    let lo, hi = Simcpu.Codecache.main_range eng.cache in
-    Obs.Vmstats.bump c_epoch_delta;
-    Atomic.set eng.published
-      { ep_seq = prev.ep_seq + 1;
-        ep_gen = prev.ep_gen;
-        ep_trans;
-        ep_huge = prev.ep_huge;
-        ep_main_lo = lo;
-        ep_main_hi = hi }
-  end
 
 (* First entry of [tr] whose guards are subsumed by the captured types —
    the entry the requester's chain walk would have selected. *)
@@ -646,7 +621,7 @@ let drain_translation_queue (eng : t) : unit =
         and locals = rq.Translate_queue.rq_locals
         and stack = rq.Translate_queue.rq_stack in
         if not (no_compile eng fid pc) then begin
-          let sl = find_slot eng fid pc in
+          let sl = slot_at eng.trans fid pc in
           let chain_len = match sl with Some sl -> sl.sl_len | None -> 0 in
           (* authoritative dedup: an earlier drain (or the requester's
              pre-burst warmup) may already cover these types — the
@@ -696,7 +671,8 @@ let drain_translation_queue (eng : t) : unit =
         end)
   in
   let landed = List.rev !landed in
-  publish_epoch_delta eng landed;
+  publish_epoch eng
+    ~fids:(List.map (fun (tr : Translation.t) -> tr.Translation.tr_fid) landed);
   if consumed > 0 && Obs.Trace.on Obs.Trace.Lease then
     Obs.Trace.emit Obs.Trace.Lease
       [ ("event", Obs.Trace.S "drain");
@@ -741,24 +717,12 @@ let lazy_translate_miss (eng : t) (frame : Vm.Interp.frame) (pc : int)
                 ((Runtime.Ledger.acct ()).Runtime.Ledger.a_cycles - lw0))
         (fun () ->
           drain_translation_queue eng;
-          match find_slot eng fid pc with
+          match slot_at eng.trans fid pc with
           | None -> None
           | Some sl ->
-            let found = ref None in
-            let i = ref 0 in
-            while !found = None && !i < sl.sl_len do
-              let tr = sl.sl_chain.(!i) in
-              let entries = tr.Translation.tr_entries in
-              let j = ref 0 in
-              while !found = None && !j < Array.length entries do
-                let en = entries.(!j) in
-                if entry_matches frame en then found := Some (tr, en);
-                incr j
-              done;
-              incr i
-            done;
-            if !found <> None then Obs.Vmstats.bump c_lazy_entered;
-            !found)
+            let found = chain_find frame sl in
+            if found <> None then Obs.Vmstats.bump c_lazy_entered;
+            found)
     else None
   end
 
@@ -798,10 +762,13 @@ let materialize_inline (eng : t) (tr : Translation.t)
     the historical fully mutable path runs: lazy compilation on misses,
     bind-jump smashing, slot-resident mono caches, TransCFG arc recording.
     On a serving worker ([sx = Some _]) the frozen path runs: lookups hit
-    the pinned epoch only, a miss falls back to the interpreter (workers
-    never compile — the shared code cache and id allocators stay
-    single-writer), links are followed read-only against the epoch's
-    generation but never smashed, and the machine is the worker's own. *)
+    the pinned epoch only, and a miss either falls back to the
+    interpreter or, with lazy translation on, enqueues a translation
+    request — a worker that wins the write lease drains the queue and
+    compiles under it, so the shared code cache and id allocators only
+    ever have one writer.  Links are followed read-only against the
+    epoch's generation but never smashed, and the machine is the
+    worker's own. *)
 let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
   : Vm.Interp.enter_result =
   let sx = Domain.DLS.get serve_key in
@@ -856,7 +823,7 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
             else begin
               (* lazy compilation; limit chain growth per srckey *)
               let chain_len =
-                match find_slot eng frame.func.fn_id pc with
+                match slot_at eng.trans frame.func.fn_id pc with
                 | Some sl -> sl.sl_len
                 | None -> 0
               in
@@ -1036,30 +1003,6 @@ let sort_inputs (eng : t) (funcs : int list) : sort_cache =
     eng.sort_cache <- Some sc;
     sc
 
-(** Publish the current dispatch state as a new immutable epoch (single
-    atomic store).  Slots are trimmed private copies: in-flight requests
-    keep dispatching on the epoch they pinned, new requests adopt this one
-    at their next request boundary, and no later main-domain mutation can
-    reach either.  Called by [install] (the empty gen-0 epoch) and at the
-    end of every retranslate-all; a scheduler also calls it before fanning
-    out, so lazily compiled warmup translations become visible. *)
-let publish_epoch (eng : t) : unit =
-  let freeze_slot (sl : slot) : slot =
-    { sl_chain = Array.sub sl.sl_chain 0 sl.sl_len;
-      sl_len = sl.sl_len;
-      sl_mono = None }
-  in
-  let ep_trans = Array.map (Array.map (Option.map freeze_slot)) eng.trans in
-  let lo, hi = Simcpu.Codecache.main_range eng.cache in
-  let prev = Atomic.get eng.published in
-  Atomic.set eng.published
-    { ep_seq = prev.ep_seq + 1;
-      ep_gen = eng.generation;
-      ep_trans;
-      ep_huge = eng.opts.huge_pages && eng.optimized_published;
-      ep_main_lo = lo;
-      ep_main_hi = hi }
-
 (** The global retranslation trigger (§5.1): form regions for every profiled
     function, optimize, sort functions with C3, and publish the optimized
     code.  Profiling translations are dropped (their section is reclaimed).
@@ -1227,10 +1170,10 @@ let decay_liveness (eng : t) : unit =
     Main/Cold extents become code-cache holes, and — when a function's
     optimized code is entirely gone — its stale profile is pruned so the
     next retranslate-all cannot resurrect a traffic phase that has
-    passed.  The shrunk rows are published as an incremental epoch
-    rebuild; requests in flight finish on the epoch they pinned (victim
-    objects stay reachable and correct), new requests stop seeing the
-    victims at their next boundary.  Translations younger than two ticks
+    passed.  The shrunk rows are published incrementally
+    ([publish_epoch ~fids]); requests in flight finish on the epoch they
+    pinned (victim objects stay reachable and correct), new requests stop
+    seeing the victims at their next boundary.  Translations younger than two ticks
     are never victims: freshly placed code has had no chance to
     accumulate a score.  Caller must hold the write lease. *)
 let evict_cold_locked (eng : t) ~(threshold : int) : int =
@@ -1338,8 +1281,8 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
              eng.trans.(fid);
          if not !any_opt then Region.Transcfg.prune_func fid)
       affected;
-    publish_epoch_rebuild eng
-      (Hashtbl.fold (fun fid () acc -> fid :: acc) affected []);
+    publish_epoch eng
+      ~fids:(Hashtbl.fold (fun fid () acc -> fid :: acc) affected []);
     List.length victims
   end
 
@@ -1692,7 +1635,7 @@ let code_bytes (eng : t) : int = Simcpu.Codecache.bytes_used eng.cache
 (** Retranslation-chain length at a srckey (test observability: the lease
     contention test asserts racing misses produced exactly one entry). *)
 let chain_length (eng : t) ~(fid : int) ~(pc : int) : int =
-  match find_slot eng fid pc with Some sl -> sl.sl_len | None -> 0
+  match slot_at eng.trans fid pc with Some sl -> sl.sl_len | None -> 0
 
 (** Sample the engine's level-style metrics into vmstats gauges.  These are
     cheap to read on demand but would be expensive to maintain per event,

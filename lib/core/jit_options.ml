@@ -11,10 +11,8 @@
 
     — an explicit setting is anything that moved a field off its
     0/None/unset sentinel before [resolve] ran.  Nothing on the dispatch
-    path reads the environment; the one process-global knob that predates
-    engine install (the interpreter dispatch-loop selector, historically a
-    raw [Sys.getenv_opt "INTERP_THREADED"] inside [Vm.Interp]) is applied
-    by {!bootstrap}, which binaries call once at startup. *)
+    path reads the environment, and no knob is process-global: every one
+    lives in the record and takes effect at install. *)
 
 type mode =
   | Interp        (** bytecode interpreter only *)
@@ -105,12 +103,6 @@ type t = {
      returning the hole bytes to the code budget. *)
   mutable tc_evict_threshold : int;
   mutable tc_compact : bool;
-  (* interpreter dispatch-loop selector ([--no-interp-threaded] /
-     [INTERP_THREADED=0]): [None] leaves the process-wide mode alone
-     (whatever {!bootstrap} resolved from the environment, or a direct
-     toggle from a differential test); [Some b] is an explicit request
-     applied at resolve time. *)
-  mutable interp_threaded : bool option;
   (* set by {!resolve}; a resolved record is frozen — re-resolving is a
      no-op, so one record can be shared across installs (e.g. a steady-
      state measurement followed by the startup run that reuses it). *)
@@ -149,7 +141,6 @@ let default () : t = {
   lazy_translate = true;
   tc_evict_threshold = 0;
   tc_compact = false;
-  interp_threaded = None;
   resolved = false;
 }
 
@@ -157,16 +148,6 @@ let env_off (name : string) : bool =
   match Sys.getenv_opt name with
   | Some ("0" | "false" | "off") -> true
   | _ -> false
-
-(** One-time process bootstrap for knobs that predate any engine install.
-    [INTERP_THREADED=0] selects the legacy match-on-variant interpreter
-    loop for the whole process; binaries (hhvm_run, bench, the test
-    runner) call this once from [main], before any code interprets.
-    Differential tests toggle [Vm.Interp.threaded_dispatch] directly
-    afterwards — {!resolve} never re-reads this environment variable, so
-    such toggles survive engine installs. *)
-let bootstrap () : unit =
-  if env_off "INTERP_THREADED" then Vm.Interp.threaded_dispatch := false
 
 (** The single config-resolution step, run once at engine install:
     environment fallbacks fold into [t] with explicit settings winning
@@ -177,12 +158,6 @@ let bootstrap () : unit =
 let resolve (t : t) : unit =
   if not t.resolved then begin
   t.resolved <- true;
-  (* explicit dispatch-loop request (flag beats env: bootstrap applied the
-     env to the ref before any engine existed, and an unset option leaves
-     the current process-wide mode untouched) *)
-  (match t.interp_threaded with
-   | Some b -> Vm.Interp.threaded_dispatch := b
-   | None -> ());
   (match t.trace, Sys.getenv_opt "JIT_TRACE" with
    | None, (Some _ as e) -> t.trace <- e
    | _ -> ());
@@ -229,9 +204,6 @@ let resolve (t : t) : unit =
    | Some ("1" | "true" | "on") -> t.tc_compact <- true
    | _ -> ())
   end
-
-(** Deprecated alias for {!resolve} (the historical name). *)
-let resolve_env = resolve
 
 (** Disable every profile-guided optimization except region formation and
     partial inlining — the paper's "All PGO" experiment (§6.3). *)

@@ -30,11 +30,6 @@ let acct () : acct = Domain.DLS.get key
 
 let charge n = let a = acct () in a.a_cycles <- a.a_cycles + n
 
-let charge_interp n =
-  let a = acct () in
-  a.a_cycles <- a.a_cycles + n;
-  a.a_interp <- a.a_interp + n
-
 (** Charge interpreter cycles through a pre-fetched account: hot loops
     (the bytecode dispatch loop) resolve the domain-local account once
     per activation instead of paying the DLS read per instruction.  The

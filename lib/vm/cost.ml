@@ -61,7 +61,7 @@ let instr_cost (i : t) : int = dispatch + handler_cost i
 (** Pre-resolve the whole body's costs at flatten time: the threaded
     interpreter charges from this table (one array read per dispatch)
     instead of re-running the [handler_cost] match per executed bytecode.
-    The simulated cost model itself is unchanged — both dispatch loops
-    charge identical cycles, which is what keeps `INTERP_THREADED={0,1}`
-    ledger-identical and Figure 8's interp:JIT ratio calibrated. *)
+    The simulated cost model itself is unchanged — the per-program ledger
+    totals pinned in test/test_threaded.ml hold it fixed, which keeps
+    Figure 8's interp:JIT ratio calibrated. *)
 let costs_of_body (body : t array) : int array = Array.map instr_cost body

@@ -31,7 +31,7 @@ type frame = {
      (instead of a separate per-activation record plus ref cells) makes
      an interpreted activation allocate nothing beyond the frame itself.
      [acct] is (re)bound to the executing domain's ledger account each
-     time [run_threaded] enters the frame; [cyc_]/[icnt_] accrue cycles
+     time [run] enters the frame; [cyc_]/[icnt_] accrue cycles
      and retired instructions between flushes; [ret_] receives the
      result when a handler returns the -1 sentinel. *)
   mutable acct : Runtime.Ledger.acct;
@@ -56,7 +56,7 @@ type enter_result =
     false whenever the installed hook is the constant [NoTranslation]
     (interp-only engines, no engine at all): taken jumps then skip the
     deref-and-call entirely.  The hook has no observable effect in that
-    configuration, so both dispatch modes may consult the flag. *)
+    configuration, so skipping it changes nothing. *)
 let translation_hook : (frame -> int -> enter_result) ref =
   ref (fun _ _ -> NoTranslation)
 
@@ -85,10 +85,10 @@ let flat_mutex = Mutex.create ()
 (* Per-opcode execution counters ([interp.op.<Name>]), indexed by the
    dense opcode id — one array load + field bump per interpreted
    instruction when stats are on, nothing else.  Registration is lazy
-   *per opcode*: a cell fills the first time flattened code (or the
-   legacy loop) needs that opcode's counter, instead of force-building
-   all 59 names up front.  Cells fill under [flat_mutex]; the handles
-   stay valid across vmstats resets (reset zeroes, it does not drop). *)
+   *per opcode*: a cell fills the first time flattened code needs that
+   opcode's counter, instead of force-building all 59 names up front.
+   Cells fill under [flat_mutex]; the handles stay valid across vmstats
+   resets (reset zeroes, it does not drop). *)
 let op_counter_cells : Obs.Vmstats.counter option array =
   Array.make Hhbc.Instr.opcode_count None
 
@@ -101,19 +101,6 @@ let op_counter (op : int) : Obs.Vmstats.counter =
     in
     op_counter_cells.(op) <- Some c;
     c
-
-(* Dense table for the legacy match loop, built (once) on demand. *)
-let op_counter_dense : Obs.Vmstats.counter array ref = ref [||]
-
-let op_counter_table () : Obs.Vmstats.counter array =
-  if Array.length !op_counter_dense > 0 then !op_counter_dense
-  else begin
-    Mutex.lock flat_mutex;
-    if Array.length !op_counter_dense = 0 then
-      op_counter_dense := Array.init Hhbc.Instr.opcode_count op_counter;
-    Mutex.unlock flat_mutex;
-    !op_counter_dense
-  end
 
 (* Register opcode names with the cycle-attribution profiler once, so
    per-opcode interp attribution renders symbolically (obs cannot depend
@@ -270,8 +257,8 @@ let binop_apply (op : binop) (a : value) (b : value) : value =
 
 (** Resolve a binary operator to its semantic function once — the
     flatten-time form of operand pre-resolution.  [binop_apply] keeps the
-    per-call match for the JIT helpers and the legacy loop; both routes
-    compute identical values. *)
+    per-call match for the JIT helpers; both routes compute identical
+    values. *)
 let binop_fn (op : binop) : value -> value -> value =
   match op with
   | OpAdd -> arith_add
@@ -497,8 +484,6 @@ let meth_site_cache (fid : int) (pc : int) ~(body_len : int) : meth_site_cache =
 (* The dispatch loop                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let charge = Runtime.Ledger.charge_interp
-
 (** Find the innermost exception handler covering [pc] whose class matches
     the exception value. *)
 let find_handler (fr : frame) (pc : int) (exn_v : value) : ex_entry option =
@@ -523,15 +508,7 @@ let find_handler (fr : frame) (pc : int) (exn_v : value) : ex_entry option =
    is `pc := code.(pc) st` with handlers returning the next pc.  Flat
    pcs are bytecode pcs (the lowering is 1:1), so profiling counters,
    method-cache keys, exception tables and OSR entry points are shared
-   unchanged with the legacy loop and the JIT. *)
-
-(** Dispatch-mode switch: the legacy match-on-variant loop vs the
-    flattened closure-threaded one, for differential testing.  The
-    interpreter itself never reads the environment: [INTERP_THREADED=0]
-    is resolved by [Core.Jit_options.bootstrap] (once, at process start)
-    and [--no-interp-threaded] by [Core.Jit_options.resolve]; tests may
-    toggle the ref directly. *)
-let threaded_dispatch : bool ref = ref true
+   unchanged with the JIT. *)
 
 (** A pre-bound instruction handler: runs one bytecode against the
     activation state (carried on the frame) and returns the next flat
@@ -573,15 +550,13 @@ let do_jump (fr : frame) (target : int) : int =
     | Resumed pc' -> pc'
     | Returned v -> fr.ret_ <- v; -1
 
-(** Lower one instruction at [pc] of [f] into its pre-bound handler.
-    Every arm mirrors the legacy match arm exactly (same refcount
-    transfers, same evaluation order, same error messages); the only
-    differences are operands captured at flatten time.  Each handler
-    opens by accruing its own cost-model charge [c] — captured here as
-    an immediate, so the dispatch loop carries no per-op cost lookup;
-    the charge lands before the op's effects, exactly like the legacy
-    charge-then-execute order (a handler that raises has already
-    accrued, and the flush on the unwind path commits it). *)
+(** Lower one instruction at [pc] of [f] into its pre-bound handler, with
+    operands captured at flatten time.  Each handler opens by accruing
+    its own cost-model charge [c] — captured here as an immediate, so the
+    dispatch loop carries no per-op cost lookup; the charge lands before
+    the op's effects (a handler that raises has already accrued, and the
+    flush on the unwind path commits it).  The semantics, refcount
+    transfers and cycle charges are pinned by test/test_threaded.ml. *)
 let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
   let next = pc + 1 in
   let c = Cost.instr_cost i in
@@ -1038,8 +1013,8 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
        | VArr node ->
          if node.data.count = 0 then begin
            Runtime.Heap.decref v;
-           (* no translation-hook consult here, same as the legacy loop:
-              the done-target is not an OSR entry point *)
+           (* no translation-hook consult here: the done-target is not
+              an OSR entry point *)
            done_t
          end
          else begin
@@ -1149,8 +1124,7 @@ let flat_ctrs (fl : flat) : Obs.Vmstats.counter array =
     workers then never contend on the flatten mutex mid-burst, and
     first-request latency excludes lowering time. *)
 let preflatten (u : Hhbc.Hunit.t) : unit =
-  if !threaded_dispatch then
-    Array.iter (fun f -> ignore (flat_of f)) u.Hhbc.Hunit.functions
+  Array.iter (fun f -> ignore (flat_of f)) u.Hhbc.Hunit.functions
 
 (** Exception unwind shared by the threaded loop variants: either resets
     [fr.pc_] to the matching handler (clearing the eval stack and
@@ -1192,7 +1166,7 @@ let flush_acct (fr : frame) =
   end
 
 (* The threaded loop variants live at toplevel (not as closures inside
-   [run_threaded]) so an activation allocates nothing beyond the frame.
+   [run]) so an activation allocates nothing beyond the frame.
    The try sits outside the while loop (no trap push per dispatch); when
    a handler throws, [fr.pc_] is still the faulting pc — handlers only
    advance it by returning normally. *)
@@ -1260,18 +1234,14 @@ let rec exec_prof (fl : flat) (p : Obs.Profiler.state) (stats_on : bool)
     unwind_to_handler fr exn_v;
     exec_prof fl p stats_on ctrs fr
 
-(** Interpret [fr] starting at [start_pc] until the function returns.
-    Consults the JIT at taken-jump targets (OSR entry points). *)
-let rec run (fr : frame) (start_pc : int) : value =
-  if !threaded_dispatch then run_threaded fr start_pc
-  else run_match fr start_pc
-
-(** The closure-threaded dispatch loop over the function's flat form.
+(** Interpret [fr] starting at [start_pc] until the function returns,
+    consulting the JIT at taken-jump targets (OSR entry points).  This is
+    the closure-threaded dispatch loop over the function's flat form.
     The loop variant is chosen once per activation from the vmstats and
     profiler switches, so a probes-off run pays zero option tests,
     counter bumps or cost-model matches per op — just the accrual and
     the handler call. *)
-and run_threaded (fr : frame) (start_pc : int) : value =
+let run (fr : frame) (start_pc : int) : value =
   let fl = flat_of fr.func in
   fr.acct <- Runtime.Ledger.acct ();
   fr.pc_ <- start_pc;
@@ -1298,432 +1268,8 @@ and run_threaded (fr : frame) (start_pc : int) : value =
   flush_acct fr;
   fr.ret_
 
-(** The legacy match-on-variant loop, kept verbatim behind
-    [INTERP_THREADED=0] as the differential-testing baseline. *)
-and run_match (fr : frame) (start_pc : int) : value =
-  let code = fr.func.fn_body in
-  let icount = Domain.DLS.get instr_count_key in
-  (* Per-activation hoists of the per-instruction probe plumbing: the
-     ledger account is a DLS read, the opcode counter table a Lazy.force
-     and the vmstats switch a flag read — all invariant across an
-     activation (accounts are per-domain, activations never migrate
-     domains, and stats enablement is fixed at engine install), so
-     resolve them once here instead of on every dispatch. *)
-  let acct = Runtime.Ledger.acct () in
-  let stats_on = Obs.Vmstats.on () in
-  let ops = if stats_on then op_counter_table () else [||] in
-  (* per-opcode cycle attribution (Obs.Profiler): like the probes above,
-     the enabled check and the domain-local state are hoisted out of the
-     dispatch loop — a profiler-off run pays one option test per
-     instruction *)
-  let prof =
-    if Obs.Profiler.on () then Some (Obs.Profiler.local ()) else None
-  in
-  let pc = ref start_pc in
-  let ret : value option ref = ref None in
-  while Option.is_none !ret do
-    let this_pc = !pc in
-    try
-      let i = code.(this_pc) in
-      let cost = Cost.instr_cost i in
-      Runtime.Ledger.charge_interp_on acct cost;
-      incr icount;
-      if stats_on then
-        Obs.Vmstats.bump ops.(Hhbc.Instr.opcode_id i);
-      (match prof with
-       | Some st -> Obs.Profiler.op_charge st (Hhbc.Instr.opcode_id i) cost
-       | None -> ());
-      (* default: fall through *)
-      pc := this_pc + 1;
-      (match i with
-       | Int n -> push fr (VInt n)
-       | Dbl d -> push fr (VDbl d)
-       | String s -> push fr (Hhbc.Hunit.intern s)
-       | True -> push fr (VBool true)
-       | False -> push fr (VBool false)
-       | Null -> push fr VNull
-       | NewArray -> push fr (Runtime.Heap.new_arr ())
-       | AddNewElemC ->
-         let v = pop fr in
-         (match top fr with
-          | VArr node ->
-            let node' = Runtime.Varray.append node v in
-            fr.stack.(fr.sp - 1) <- VArr node'
-          | _ -> fatal "AddNewElemC on non-array")
-       | AddElemC ->
-         let v = pop fr in
-         let k = pop fr in
-         (match top fr with
-          | VArr node ->
-            let node' = Runtime.Varray.set node (Runtime.Varray.key_of_value k) v in
-            fr.stack.(fr.sp - 1) <- VArr node';
-            Runtime.Heap.decref k
-          | _ -> fatal "AddElemC on non-array")
-       | CGetL l ->
-         let v = fr.locals.(l) in
-         if is_uninit v then fatal "undefined variable $%s" (Hhbc.Disasm.local_name fr.func l);
-         Runtime.Heap.incref v;
-         push fr v
-       | CGetQuietL l ->
-         let v = fr.locals.(l) in
-         let v = if is_uninit v then VNull else v in
-         Runtime.Heap.incref v;
-         push fr v
-       | CGetL2 l ->
-         (* push local *under* the current top *)
-         let t = pop fr in
-         let v = fr.locals.(l) in
-         if is_uninit v then fatal "undefined variable $%s" (Hhbc.Disasm.local_name fr.func l);
-         Runtime.Heap.incref v;
-         push fr v;
-         push fr t
-       | PushL l ->
-         let v = fr.locals.(l) in
-         if is_uninit v then fatal "PushL of uninit local";
-         fr.locals.(l) <- VUninit;
-         push fr v
-       | SetL l ->
-         let v = top fr in
-         Runtime.Heap.incref v;
-         let old = fr.locals.(l) in
-         fr.locals.(l) <- v;
-         (* store before releasing: a destructor running here sees the
-            local already rebound (same order as compiled code) *)
-         Runtime.Heap.decref old
-       | PopL l ->
-         let v = pop fr in
-         let old = fr.locals.(l) in
-         fr.locals.(l) <- v;
-         Runtime.Heap.decref old
-       | PopC -> Runtime.Heap.decref (pop fr)
-       | Dup ->
-         let v = top fr in
-         Runtime.Heap.incref v;
-         push fr v
-       | IncDecL (l, op) ->
-         let old = fr.locals.(l) in
-         let old = if is_uninit old then VNull else old in
-         let nv, result = incdec_apply op old in
-         fr.locals.(l) <- nv;
-         push fr result
-       | IssetL l ->
-         push fr (VBool (match fr.locals.(l) with VUninit | VNull -> false | _ -> true))
-       | UnsetL l ->
-         let old = fr.locals.(l) in
-         fr.locals.(l) <- VUninit;
-         Runtime.Heap.decref old
-       | Binop op ->
-         let b = pop fr in
-         let a = pop fr in
-         (* binop_apply returns an owned value (never one of its operands) *)
-         let r = binop_apply op a b in
-         Runtime.Heap.decref a;
-         Runtime.Heap.decref b;
-         push fr r
-       | Not -> let v = pop fr in push fr (VBool (not (truthy v))); Runtime.Heap.decref v
-       | Neg ->
-         let v = pop fr in
-         (match to_num v with
-          | `I i -> push fr (VInt (-i))
-          | `D d -> push fr (VDbl (-.d)));
-         Runtime.Heap.decref v
-       | BitNot ->
-         let v = pop fr in
-         push fr (VInt (lnot (to_int_val v)));
-         Runtime.Heap.decref v
-       | CastInt -> let v = pop fr in push fr (VInt (to_int_val v)); Runtime.Heap.decref v
-       | CastDbl -> let v = pop fr in push fr (VDbl (to_dbl_val v)); Runtime.Heap.decref v
-       | CastBool -> let v = pop fr in push fr (VBool (truthy v)); Runtime.Heap.decref v
-       | CastString ->
-         let v = pop fr in
-         push fr (Runtime.Heap.new_str (to_string_val v));
-         Runtime.Heap.decref v
-       | InstanceOf cname ->
-         let v = pop fr in
-         let r = match v with
-           | VObj o -> Runtime.Vclass.instanceof (Runtime.Vclass.get o.data.cls) cname
-           | _ -> false
-         in
-         push fr (VBool r);
-         Runtime.Heap.decref v
-       | IsTypeL (l, tag) ->
-         push fr (VBool (tag_of_value fr.locals.(l) = tag))
-       | Jmp t -> jump fr pc this_pc t ret
-       | JmpZ t ->
-         let v = pop fr in
-         let z = not (truthy v) in
-         Runtime.Heap.decref v;
-         if z then jump fr pc this_pc t ret
-       | JmpNZ t ->
-         let v = pop fr in
-         let nz = truthy v in
-         Runtime.Heap.decref v;
-         if nz then jump fr pc this_pc t ret
-       | RetC ->
-         let v = pop fr in
-         teardown fr;
-         ret := Some v
-       | Throw ->
-         let v = pop fr in
-         raise (Php_exception v)
-       | Fatal m -> fatal "%s" m
-       | FCall (fid, nargs) ->
-         let args = take_args fr nargs in
-         let r = !call_dispatch fr.unit_ fid args VNull in
-         push fr r
-       | FCallD (name, nargs) ->
-         (match Hhbc.Hunit.find_func fr.unit_ name with
-          | Some fid ->
-            let args = take_args fr nargs in
-            let r = !call_dispatch fr.unit_ fid args VNull in
-            push fr r
-          | None ->
-            let args = take_args fr nargs in
-            charge (Builtins.cost name args);
-            let r = Builtins.call name args in
-            Array.iter Runtime.Heap.decref args;
-            push fr r)
-       | FCallBuiltin (name, nargs) ->
-         let args = take_args fr nargs in
-         charge (Builtins.cost name args);
-         let r = Builtins.call name args in
-         Array.iter Runtime.Heap.decref args;
-         push fr r
-       | FCallM (mname, nargs) ->
-         let args = take_args fr nargs in
-         let recv = pop fr in
-         let m =
-           match recv with
-           | VObj o when !dispatch_caches_enabled ->
-             let sc =
-               meth_site_cache fr.func.fn_id this_pc
-                 ~body_len:(Array.length code)
-             in
-             (match sc.sc_meth with
-              | Some m when sc.sc_cls = o.data.cls ->
-                Obs.Vmstats.bump c_meth_hit;
-                m
-              | _ ->
-                Obs.Vmstats.bump c_meth_miss;
-                let m = lookup_method_for recv mname in
-                sc.sc_cls <- o.data.cls;
-                sc.sc_meth <- Some m;
-                m)
-           | _ -> lookup_method_for recv mname
-         in
-         let r = !call_dispatch fr.unit_ m.m_func args recv in
-         push fr r
-       | NewObjD (cname, nargs) ->
-         let args = take_args fr nargs in
-         let obj = new_object fr.unit_ cname args in
-         push fr obj
-       | This ->
-         (match fr.this_ with
-          | VObj _ as t -> Runtime.Heap.incref t; push fr t
-          | _ -> fatal "using $this outside of a method")
-       | QueryM_Elem ->
-         let k = pop fr in
-         let base = pop fr in
-         (match base with
-          | VArr a ->
-            let v = Runtime.Varray.get a.data (Runtime.Varray.key_of_value k) in
-            Runtime.Heap.incref v;
-            push fr v;
-            Runtime.Heap.decref base;
-            Runtime.Heap.decref k
-          | _ -> fatal "cannot index %s" (tag_name (tag_of_value base)))
-       | QueryM_Prop p ->
-         let base = pop fr in
-         (match base with
-          | VObj o ->
-            let c = Runtime.Vclass.get o.data.cls in
-            (match Runtime.Vclass.prop_slot c p with
-             | Some slot ->
-               let v = o.data.props.(slot) in
-               Runtime.Heap.incref v;
-               push fr v;
-               Runtime.Heap.decref base
-             | None -> fatal "undefined property %s::$%s" c.c_name p)
-          | _ -> fatal "property access on %s" (tag_name (tag_of_value base)))
-       | SetM_ElemL l ->
-         let v = pop fr in
-         let k = pop fr in
-         (match fr.locals.(l) with
-          | VArr node ->
-            Runtime.Heap.incref v;   (* the array's reference *)
-            let node' = Runtime.Varray.set node (Runtime.Varray.key_of_value k) v in
-            fr.locals.(l) <- VArr node';
-            Runtime.Heap.decref k;
-            push fr v                (* expression result keeps our ref *)
-          | VUninit ->
-            (* auto-vivification: $a[k] = v on unset local creates an array *)
-            let node = Runtime.Heap.new_arr_node () in
-            Runtime.Heap.incref v;
-            let node' = Runtime.Varray.set node (Runtime.Varray.key_of_value k) v in
-            fr.locals.(l) <- VArr node';
-            Runtime.Heap.decref k;
-            push fr v
-          | _ -> fatal "cannot use %s as array" (tag_name (tag_of_value fr.locals.(l))))
-       | SetM_NewElemL l ->
-         let v = pop fr in
-         (match fr.locals.(l) with
-          | VArr node ->
-            Runtime.Heap.incref v;
-            let node' = Runtime.Varray.append node v in
-            fr.locals.(l) <- VArr node';
-            push fr v
-          | VUninit ->
-            let node = Runtime.Heap.new_arr_node () in
-            Runtime.Heap.incref v;
-            let node' = Runtime.Varray.append node v in
-            fr.locals.(l) <- VArr node';
-            push fr v
-          | _ -> fatal "cannot append to %s" (tag_name (tag_of_value fr.locals.(l))))
-       | UnsetM_ElemL l ->
-         let k = pop fr in
-         (match fr.locals.(l) with
-          | VArr node ->
-            let node' = Runtime.Varray.unset node (Runtime.Varray.key_of_value k) in
-            fr.locals.(l) <- VArr node';
-            Runtime.Heap.decref k
-          | VUninit -> Runtime.Heap.decref k
-          | _ -> fatal "cannot unset element of non-array")
-       | SetM_Prop p ->
-         let v = pop fr in
-         let base = pop fr in
-         (match base with
-          | VObj o ->
-            let c = Runtime.Vclass.get o.data.cls in
-            (match Runtime.Vclass.prop_slot c p with
-             | Some slot ->
-               Runtime.Heap.incref v;
-               Runtime.Heap.decref o.data.props.(slot);
-               o.data.props.(slot) <- v;
-               Runtime.Heap.decref base;
-               push fr v
-             | None -> fatal "undefined property %s::$%s" c.c_name p)
-          | _ -> fatal "property write on %s" (tag_name (tag_of_value base)))
-       | IncDecM_Prop (p, op) ->
-         let base = pop fr in
-         (match base with
-          | VObj o ->
-            let c = Runtime.Vclass.get o.data.cls in
-            (match Runtime.Vclass.prop_slot c p with
-             | Some slot ->
-               let old = o.data.props.(slot) in
-               let nv, result = incdec_apply op old in
-               o.data.props.(slot) <- nv;
-               push fr result;
-               Runtime.Heap.decref base
-             | None -> fatal "undefined property %s::$%s" c.c_name p)
-          | _ -> fatal "property incdec on %s" (tag_name (tag_of_value base)))
-       | IssetM_Elem ->
-         let k = pop fr in
-         let base = pop fr in
-         (match base with
-          | VArr a ->
-            let r = match Runtime.Varray.find_opt a.data (Runtime.Varray.key_of_value k) with
-              | Some VNull | None -> false
-              | Some _ -> true
-            in
-            push fr (VBool r);
-            Runtime.Heap.decref base;
-            Runtime.Heap.decref k
-          | _ ->
-            push fr (VBool false);
-            Runtime.Heap.decref base;
-            Runtime.Heap.decref k)
-       | IssetM_Prop p ->
-         let base = pop fr in
-         (match base with
-          | VObj o ->
-            let c = Runtime.Vclass.get o.data.cls in
-            let r = match Runtime.Vclass.prop_slot c p with
-              | Some slot -> (match o.data.props.(slot) with VNull | VUninit -> false | _ -> true)
-              | None -> false
-            in
-            push fr (VBool r);
-            Runtime.Heap.decref base
-          | _ ->
-            push fr (VBool false);
-            Runtime.Heap.decref base)
-       | Print ->
-         let v = pop fr in
-         Output.write (to_string_val v);
-         Runtime.Heap.decref v
-       | IterInit (id, done_t) ->
-         let v = pop fr in
-         (match v with
-          | VArr node ->
-            if node.data.count = 0 then begin
-              Runtime.Heap.decref v;
-              pc := done_t
-            end else begin
-              let it = fr.iters.(id) in
-              it.it_arr <- Some node;  (* transfer our reference *)
-              it.it_pos <- 0
-            end
-          | _ -> fatal "foreach over non-array %s" (tag_name (tag_of_value v)))
-       | IterKV (id, kloc, vloc) ->
-         let it = fr.iters.(id) in
-         (match it.it_arr with
-          | Some node ->
-            let k, v = node.data.entries.(it.it_pos) in
-            (match kloc with
-             | Some kl ->
-               let kv = match k with
-                 | KInt i -> VInt i
-                 | KStr s -> Hhbc.Hunit.intern s
-               in
-               let old = fr.locals.(kl) in
-               fr.locals.(kl) <- kv;
-               Runtime.Heap.decref old
-             | None -> ());
-            Runtime.Heap.incref v;
-            let old = fr.locals.(vloc) in
-            fr.locals.(vloc) <- v;
-            Runtime.Heap.decref old
-          | None -> fatal "IterKV on dead iterator")
-       | IterNext (id, loop_t) ->
-         let it = fr.iters.(id) in
-         (match it.it_arr with
-          | Some node ->
-            it.it_pos <- it.it_pos + 1;
-            if it.it_pos < node.data.count then jump fr pc this_pc loop_t ret
-            else free_iter it
-          | None -> fatal "IterNext on dead iterator")
-       | IterFree id -> free_iter fr.iters.(id)
-       | AssertRATL _ | AssertRATStk _ | Nop -> ())
-    with
-    | Php_exception exn_v ->
-      (match find_handler fr this_pc exn_v with
-       | Some e ->
-         (* clear the eval stack: mid-expression temporaries die here *)
-         for j = 0 to fr.sp - 1 do
-           Runtime.Heap.decref fr.stack.(j);
-           fr.stack.(j) <- VUninit
-         done;
-         fr.sp <- 0;
-         Runtime.Heap.decref fr.locals.(e.ex_local);
-         fr.locals.(e.ex_local) <- exn_v;   (* transfer *)
-         pc := e.ex_handler
-       | None ->
-         teardown fr;
-         raise (Php_exception exn_v))
-  done;
-  Option.get !ret
-
-(** Taken-jump handler: consult the JIT for a translation at the target
-    (this is where interpreted execution re-enters compiled code). *)
-and jump fr pc this_pc target ret_ref =
-  ignore this_pc;
-  match !translation_hook fr target with
-  | NoTranslation -> pc := target
-  | Resumed pc' -> pc := pc'
-  | Returned v -> ret_ref := Some v
-
 (** Interpret a call from scratch (no JIT). *)
-and call_interpreted (u : Hhbc.Hunit.t) (fid : int) (args : value array)
+let call_interpreted (u : Hhbc.Hunit.t) (fid : int) (args : value array)
     (this_ : value) : value =
   let f = Hhbc.Hunit.func u fid in
   let fr = make_frame u f args this_ in

@@ -2,8 +2,7 @@
 # CI for the HHVM-JIT reproduction:
 #   1. warning-clean build audit (threads/domain deps must be declared,
 #      so a fresh `dune build` prints nothing),
-#   2. tier-1 test suite, then the same suite under INTERP_THREADED=0
-#      so both interpreter dispatch loops are exercised end to end,
+#   2. tier-1 test suite,
 #   3. parallel retranslate-all smoke: JIT_WORKERS=4 exercises the env
 #      path, and `bench/main.exe json` sweeps --jit-workers {1,2,4} and
 #      exits nonzero when output hashes or code-cache byte totals
@@ -51,12 +50,6 @@ fi
 
 echo "== tier-1 tests =="
 dune runtest
-
-echo "== legacy-dispatch parity smoke (INTERP_THREADED=0) =="
-# the full suite re-run with the match-on-variant interpreter loop: the
-# threaded-dispatch differential tests then compare legacy-vs-threaded
-# from the other direction, and every output/ledger check must still hold
-INTERP_THREADED=0 dune exec test/test_main.exe -- -e
 
 echo "== parallel retranslate smoke (4 workers) =="
 JIT_WORKERS=4 dune exec bench/main.exe -- json

@@ -1,5 +1,4 @@
 let () =
-  Core.Jit_options.bootstrap ();
   Alcotest.run "hhvm_jit"
     [
       Test_runtime.suite;

@@ -387,6 +387,71 @@ let test_lazy_queue_overflow () =
   let ri = serving_run ~mode:Core.Jit_options.Interp 1 in
   check_serving_equal "overflow at code cap vs interpreter" ri rb
 
+(* The one epoch publisher: a [~fids] publish rebuilds exactly those
+   rows from the live tables and shares every other row with the previous
+   epoch; only a [~fids] publish counts as a delta, and [~fids:[]]
+   publishes nothing. *)
+let test_publish_epoch_rows () =
+  let open Core.Engine in
+  let _, eng = serving_engine () in
+  let deltas () = Obs.Vmstats.counter_value "epoch.delta_publish" in
+  let d0 = deltas () in
+  let ep0 = Atomic.get eng.published in
+  publish_epoch eng;
+  let ep1 = Atomic.get eng.published in
+  Alcotest.(check int) "full publish advances the seq" (ep0.ep_seq + 1)
+    ep1.ep_seq;
+  Alcotest.(check int) "full publish is not a delta" d0 (deltas ());
+  publish_epoch ~fids:[] eng;
+  Alcotest.(check int) "~fids:[] does not advance the seq" ep1.ep_seq
+    (Atomic.get eng.published).ep_seq;
+  (* a function with translations; give one of its live chains spare
+     capacity past [sl_len], as chain growth leaves it *)
+  let f =
+    let rec go fid =
+      if fid >= Array.length eng.trans then Alcotest.fail "no translations"
+      else if Array.exists Option.is_some eng.trans.(fid) then fid
+      else go (fid + 1)
+    in
+    go 0
+  in
+  (match Array.find_opt Option.is_some eng.trans.(f) with
+   | Some (Some sl) ->
+     sl.sl_chain <- Array.append sl.sl_chain [| sl.sl_chain.(0) |]
+   | _ -> ());
+  publish_epoch ~fids:[ f ] eng;
+  let ep2 = Atomic.get eng.published in
+  Alcotest.(check int) "~fids publish advances the seq" (ep1.ep_seq + 1)
+    ep2.ep_seq;
+  Alcotest.(check int) "~fids publish counts one delta" (d0 + 1) (deltas ());
+  Alcotest.(check int) "generation comes from the engine" eng.generation
+    ep2.ep_gen;
+  Array.iteri
+    (fun fid row ->
+       if fid <> f then
+         Alcotest.(check bool)
+           (Printf.sprintf "row %d shared with the previous epoch" fid) true
+           (row == ep1.ep_trans.(fid)))
+    ep2.ep_trans;
+  let live = eng.trans.(f) and row = ep2.ep_trans.(f) in
+  Alcotest.(check int) "rebuilt row length" (Array.length live)
+    (Array.length row);
+  Array.iteri
+    (fun pc sl ->
+       let what = Printf.sprintf "fid %d pc %d" f pc in
+       match sl, row.(pc) with
+       | None, None -> ()
+       | Some l, Some e ->
+         Alcotest.(check int) (what ^ ": trimmed to sl_len") l.sl_len
+           (Array.length e.sl_chain);
+         Alcotest.(check int) (what ^ ": sl_len") l.sl_len e.sl_len;
+         Alcotest.(check bool) (what ^ ": same translations") true
+           (Array.for_all2 ( == ) e.sl_chain (Array.sub l.sl_chain 0 l.sl_len));
+         Alcotest.(check bool) (what ^ ": no mono cache") true
+           (e.sl_mono = None)
+       | _ -> Alcotest.fail (what ^ ": slot presence differs"))
+    live
+
 (* ---- TC lifecycle: eviction + compaction under serving traffic ---- *)
 
 (* Warmed Region engine with the lifecycle knobs on, run through a decay
@@ -561,6 +626,8 @@ let suite =
         `Quick test_serving_lazy_determinism;
       Alcotest.test_case "lazy: queue overflow falls back to interp" `Quick
         test_lazy_queue_overflow;
+      Alcotest.test_case "epoch: one publisher, rows shared outside fids"
+        `Quick test_publish_epoch_rows;
       Alcotest.test_case "codecache reset_optimized accounting" `Quick
         test_codecache_reset_accounting;
       Alcotest.test_case "codecache free/compact accounting" `Quick

@@ -1,17 +1,14 @@
-(** Differential parity suite for the flattened (closure-threaded)
-    interpreter dispatch loop.
+(** Pinned-value suite for the closure-threaded interpreter dispatch
+    loop.
 
-    Every observable — program output, aggregate output hash, simulated
-    cycle ledger, retired-instruction count, per-opcode vmstats counters,
-    heap audit — must be bit-identical between the threaded loop and the
-    legacy match-on-variant loop, for any (jit mode x worker count)
-    combination, and across flat-code invalidation (in-place bytecode
-    rewrites, unit reloads, retranslate-all mid-burst). *)
-
-let with_dispatch (threaded : bool) (f : unit -> 'a) : 'a =
-  let old = !Vm.Interp.threaded_dispatch in
-  Vm.Interp.threaded_dispatch := threaded;
-  Fun.protect ~finally:(fun () -> Vm.Interp.threaded_dispatch := old) f
+    The observables below — program output, simulated cycle ledger,
+    retired-instruction count, per-opcode vmstats counters, the perflab
+    interpreter hash and weighted cycles — are constants recorded from the
+    match-on-variant loop the threaded one replaced, with which it was
+    bit-identical.  Any drift in the loop's semantics or cost accounting
+    fails here.  Serving parity compares the threaded loop against itself
+    across worker counts, and flat-code invalidation (in-place bytecode
+    rewrites, unit reloads) must never leak stale handlers. *)
 
 (* ---- Synthetic programs exercising distinct interpreter surfaces ---- *)
 
@@ -73,8 +70,39 @@ let programs =
     ("strings-arrays", prog_strings_arrays);
     ("exceptions", prog_exceptions) ]
 
-(* Run a program start to finish in the current dispatch mode and return
-   (output, ledger cycles, retired instrs); assert a clean heap. *)
+(* Pinned (output, ledger cycles, retired instrs) per program. *)
+let pinned_runs =
+  [ ("recursion", ("610|EO", 983596, 19910));
+    ("strings-arrays", ("39200|al-be-ga-de-|12|50|13", 56069, 1176));
+    ("exceptions", ("m3;m6;m9;m12;|96|4|outer:inner", 20669, 417)) ]
+
+(* Pinned nonzero [interp.op.*] counts per program; every other opcode
+   must stay at zero. *)
+let pinned_ops =
+  [ ("recursion",
+     [ ("Int", 3984); ("String", 3); ("True", 2); ("Null", 1);
+       ("CGetL", 4968); ("Binop", 4967); ("Jmp", 2); ("JmpZ", 1994);
+       ("RetC", 1993); ("FCall", 1992); ("Print", 4) ]);
+    ("strings-arrays",
+     [ ("Int", 64); ("String", 19); ("Null", 1); ("NewArray", 3);
+       ("AddNewElemC", 4); ("CGetL", 318); ("SetL", 60); ("PopC", 163);
+       ("IncDecL", 50); ("Binop", 211); ("Jmp", 50); ("JmpZ", 51);
+       ("RetC", 1); ("FCallBuiltin", 6); ("QueryM_Elem", 3);
+       ("SetM_ElemL", 3); ("SetM_NewElemL", 50); ("Print", 9);
+       ("IterInit", 2); ("IterKV", 54); ("IterNext", 54) ]);
+    ("exceptions",
+     [ ("Int", 52); ("String", 12); ("Null", 6); ("CGetL", 82);
+       ("SetL", 15); ("PopC", 37); ("IncDecL", 12); ("Binop", 61);
+       ("Jmp", 25); ("JmpZ", 25); ("RetC", 19); ("Throw", 5); ("FCall", 12);
+       ("FCallM", 5); ("NewObjD", 5); ("This", 15); ("QueryM_Prop", 5);
+       ("SetM_Prop", 10); ("Print", 14) ]) ]
+
+(* Pinned perflab pure-interpreter output hash and weighted cycles. *)
+let pinned_perflab_hash = 203261512
+let pinned_perflab_weighted = 88462.370666666669
+
+(* Run a program start to finish and return (output, ledger cycles,
+   retired instrs); assert a clean heap. *)
 let run_measured (src : string) : string * int * int =
   let u = Vm.Loader.load src in
   let c0 = Runtime.Ledger.read () in
@@ -92,64 +120,51 @@ let run_measured (src : string) : string * int * int =
 let test_program_parity () =
   List.iter
     (fun (name, src) ->
-       let out_t, cyc_t, ins_t = with_dispatch true (fun () -> run_measured src) in
-       let out_m, cyc_m, ins_m = with_dispatch false (fun () -> run_measured src) in
-       Alcotest.(check string) (name ^ ": output") out_m out_t;
-       Alcotest.(check int) (name ^ ": ledger cycles") cyc_m cyc_t;
-       Alcotest.(check int) (name ^ ": retired instrs") ins_m ins_t;
-       Alcotest.(check bool) (name ^ ": did some work") true (ins_t > 0))
+       let out, cyc, ins = List.assoc name pinned_runs in
+       let out', cyc', ins' = run_measured src in
+       Alcotest.(check string) (name ^ ": output") out out';
+       Alcotest.(check int) (name ^ ": ledger cycles") cyc cyc';
+       Alcotest.(check int) (name ^ ": retired instrs") ins ins')
     programs
 
-(* Per-opcode vmstats counters must agree exactly: the threaded loop bumps
-   pre-resolved handles from the flat opcode table, the legacy loop goes
-   through the lazy per-op registration — same names, same counts. *)
+(* Per-opcode vmstats counters: the loop bumps pre-resolved handles from
+   the flat opcode table, registered lazily per opcode. *)
 let test_op_counter_parity () =
-  let op_counts (threaded : bool) (src : string) : int array =
-    with_dispatch threaded (fun () ->
-        let was = !Obs.Vmstats.enabled in
-        Obs.Vmstats.enabled := true;
-        Fun.protect ~finally:(fun () -> Obs.Vmstats.enabled := was)
-          (fun () ->
-             let u = Vm.Loader.load src in
-             let before =
-               Array.map
-                 (fun n -> (Obs.Vmstats.counter ("interp.op." ^ n)).Obs.Vmstats.c_count)
-                 Hhbc.Instr.opcode_names
-             in
-             let r, _ =
-               Vm.Output.capture (fun () -> Vm.Interp.call_by_name u "main" [])
-             in
-             Runtime.Heap.decref r;
-             Array.mapi
-               (fun i n ->
-                  (Obs.Vmstats.counter ("interp.op." ^ n)).Obs.Vmstats.c_count
-                  - before.(i))
-               Hhbc.Instr.opcode_names))
+  let op_counts (src : string) : (string * int) list =
+    let was = !Obs.Vmstats.enabled in
+    Obs.Vmstats.enabled := true;
+    Fun.protect ~finally:(fun () -> Obs.Vmstats.enabled := was)
+      (fun () ->
+         let u = Vm.Loader.load src in
+         let count n =
+           (Obs.Vmstats.counter ("interp.op." ^ n)).Obs.Vmstats.c_count
+         in
+         let before = Array.map count Hhbc.Instr.opcode_names in
+         let r, _ =
+           Vm.Output.capture (fun () -> Vm.Interp.call_by_name u "main" [])
+         in
+         Runtime.Heap.decref r;
+         Array.to_list Hhbc.Instr.opcode_names
+         |> List.mapi (fun i n -> (n, count n - before.(i)))
+         |> List.filter (fun (_, c) -> c <> 0))
   in
   List.iter
     (fun (name, src) ->
-       let t = op_counts true src in
-       let m = op_counts false src in
-       Alcotest.(check (array int)) (name ^ ": per-opcode counters") m t;
-       Alcotest.(check bool) (name ^ ": counted some ops") true
-         (Array.exists (fun c -> c > 0) t))
+       Alcotest.(check (list (pair string int)))
+         (name ^ ": per-opcode counters") (List.assoc name pinned_ops)
+         (op_counts src))
     programs
 
 (* Perflab in pure-interpreter mode: the whole request mix runs through
-   whichever dispatch loop is selected; hash and weighted cycles must
-   agree to the bit. *)
+   the loop; hash and weighted cycles must match the pins to the bit. *)
 let test_perflab_parity () =
-  let measure threaded =
-    with_dispatch threaded (fun () -> Server.Perflab.run Core.Jit_options.Interp)
-  in
-  let rt = measure true in
-  let rm = measure false in
+  let r = Server.Perflab.run Core.Jit_options.Interp in
   Alcotest.(check int) "perflab interp: output hash"
-    rm.Server.Perflab.r_output_hash rt.Server.Perflab.r_output_hash;
+    pinned_perflab_hash r.Server.Perflab.r_output_hash;
   Alcotest.(check (float 0.0)) "perflab interp: weighted cycles"
-    rm.Server.Perflab.r_weighted rt.Server.Perflab.r_weighted
+    pinned_perflab_weighted r.Server.Perflab.r_weighted
 
-(* ---- Serving parity: (dispatch mode) x (worker count) x (jit mode) ---- *)
+(* ---- Serving parity: (worker count) x (jit mode) ---- *)
 
 let check_serving_equal what (r1 : Server.Serving.result)
     (r2 : Server.Serving.result) ~cycles =
@@ -165,38 +180,21 @@ let check_serving_equal what (r1 : Server.Serving.result)
       r1.Server.Serving.sv_cycles r2.Server.Serving.sv_cycles
 
 let test_serving_parity_region () =
-  let run threaded workers ?trigger_at () =
-    with_dispatch threaded (fun () ->
-        Test_parallel.serving_run ?trigger_at workers)
-  in
-  let ref_ = run false 1 () in
-  check_serving_equal "region serving, threaded @ 1 worker" ref_
-    (run true 1 ()) ~cycles:true;
-  check_serving_equal "region serving, threaded @ 4 workers" ref_
-    (run true 4 ()) ~cycles:false;
-  check_serving_equal "region serving, legacy @ 4 workers" ref_
-    (run false 4 ()) ~cycles:false;
+  let run = Test_parallel.serving_run in
+  check_serving_equal "region serving, 1 vs 4 workers" (run 1) (run 4)
+    ~cycles:false;
   (* full retranslate-all firing mid-burst: flat code for lazily
-     rebuilt translations must stay coherent in both dispatch modes *)
+     rebuilt translations must stay coherent *)
   let n = Array.length (Server.Serving.mix ~rounds:6 ()) in
-  let ref_tr = run false 1 ~trigger_at:(n / 3) () in
-  check_serving_equal "retranslate mid-burst, threaded @ 4 workers" ref_tr
-    (run true 4 ~trigger_at:(n / 3) ()) ~cycles:false
+  check_serving_equal "retranslate mid-burst, 1 vs 4 workers"
+    (run ~trigger_at:(n / 3) 1) (run ~trigger_at:(n / 3) 4) ~cycles:false
 
 let test_serving_parity_interp () =
   (* pure interpreter: no lazy translation, so per-request cycles are
      schedule-independent and must match at any worker count *)
-  let run threaded workers =
-    with_dispatch threaded (fun () ->
-        Test_parallel.serving_run ~mode:Core.Jit_options.Interp workers)
-  in
-  let ref_ = run false 1 in
-  check_serving_equal "interp serving, threaded @ 1 worker" ref_
-    (run true 1) ~cycles:true;
-  check_serving_equal "interp serving, threaded @ 4 workers" ref_
-    (run true 4) ~cycles:true;
-  check_serving_equal "interp serving, legacy @ 4 workers" ref_
-    (run false 4) ~cycles:true
+  let run = Test_parallel.serving_run ~mode:Core.Jit_options.Interp in
+  check_serving_equal "interp serving, 1 vs 4 workers" (run 1) (run 4)
+    ~cycles:true
 
 (* ---- Flat-code invalidation ---- *)
 
@@ -204,49 +202,40 @@ let test_serving_parity_interp () =
    rewrite function bodies in place (which calls [invalidate_flat]), run
    again — the second run must re-flatten and agree with a fresh load
    that had the rewrite applied before any execution. *)
+let run_main (u : Hhbc.Hunit.t) : string =
+  let r, out =
+    Vm.Output.capture (fun () -> Vm.Interp.call_by_name u "main" [])
+  in
+  Runtime.Heap.decref r;
+  out
+
 let test_invalidation_bytecode_rewrite () =
-  with_dispatch true (fun () ->
-      let src = prog_strings_arrays in
-      let run_main u =
-        let r, out =
-          Vm.Output.capture (fun () -> Vm.Interp.call_by_name u "main" [])
-        in
-        Runtime.Heap.decref r;
-        out
-      in
-      let u = Vm.Loader.load src in
-      let out_before = run_main u in
-      ignore (Hhbbc.Assert_insert.run u);
-      ignore (Hhbbc.Bc_opt.run u);
-      let out_after = run_main u in
-      Alcotest.(check string) "output stable across in-place rewrite"
-        out_before out_after;
-      (* fresh reference: rewrite first, then run *)
-      let u2 = Vm.Loader.load src in
-      ignore (Hhbbc.Assert_insert.run u2);
-      ignore (Hhbbc.Bc_opt.run u2);
-      Alcotest.(check string) "matches fresh post-rewrite load"
-        out_before (run_main u2))
+  let src = prog_strings_arrays in
+  let u = Vm.Loader.load src in
+  let out_before = run_main u in
+  ignore (Hhbbc.Assert_insert.run u);
+  ignore (Hhbbc.Bc_opt.run u);
+  let out_after = run_main u in
+  Alcotest.(check string) "output stable across in-place rewrite"
+    out_before out_after;
+  (* fresh reference: rewrite first, then run *)
+  let u2 = Vm.Loader.load src in
+  ignore (Hhbbc.Assert_insert.run u2);
+  ignore (Hhbbc.Bc_opt.run u2);
+  Alcotest.(check string) "matches fresh post-rewrite load"
+    out_before (run_main u2)
 
 (* Unit reload: loading a new unit bumps the global flat epoch; stale
    flat code (interned constants, resolved call targets from the old
    unit) must never leak into the new unit's execution. *)
 let test_invalidation_unit_reload () =
-  with_dispatch true (fun () ->
-      let go src =
-        let u = Vm.Loader.load src in
-        let r, out =
-          Vm.Output.capture (fun () -> Vm.Interp.call_by_name u "main" [])
-        in
-        Runtime.Heap.decref r;
-        out
-      in
-      let a1 = go prog_recursion in
-      let b1 = go prog_exceptions in
-      let a2 = go prog_recursion in
-      let b2 = go prog_exceptions in
-      Alcotest.(check string) "reload run 1 = run 2 (recursion)" a1 a2;
-      Alcotest.(check string) "reload run 1 = run 2 (exceptions)" b1 b2)
+  let go src = run_main (Vm.Loader.load src) in
+  let a1 = go prog_recursion in
+  let b1 = go prog_exceptions in
+  let a2 = go prog_recursion in
+  let b2 = go prog_exceptions in
+  Alcotest.(check string) "reload run 1 = run 2 (recursion)" a1 a2;
+  Alcotest.(check string) "reload run 1 = run 2 (exceptions)" b1 b2
 
 let suite =
   ( "threaded-dispatch",
