@@ -2,7 +2,11 @@
     evaluation (§6) on the simulated substrate.
 
     Usage: main.exe
-      [fig8|fig9|fig10|fig11|table1|ablate|vmstats|serving|micro|json|all]
+      [fig8|fig9|fig10|fig11|table1|ablate|vmstats|serving|startup|
+       tc_lifecycle|retranslate|micro|all]
+
+    Every target that checks an invariant exits 1 when it fails, so each
+    doubles as a CI gate.
 
     Absolute numbers are not expected to match the paper (the substrate is
     a deterministic simulator, not Facebook production hardware); the
@@ -225,12 +229,11 @@ let micro_results () : (string * float) list =
            tbl [])
       results
   in
-  (* Interpreter micros gate CI at tight absolute thresholds
-     (scripts/check_bench_json.sh), and an OLS *mean* over samples is
-     too sensitive to host noise — frequency dips and neighbors move it
-     ±30% run to run.  Record the min over timed batches instead: the
-     standard noise filter for a deterministic workload, stable to a
-     few percent on the same hosts. *)
+  (* fib(12) gates CI at a tight absolute threshold ([fib12_cap_ns]),
+     and an OLS *mean* over samples is too sensitive to host noise —
+     frequency dips and neighbors move it ±30% run to run.  Record the
+     min over timed batches instead: the standard noise filter for a
+     deterministic workload, stable to a few percent on the same hosts. *)
   let interp_unit =
     Vm.Loader.load
       "function fib($n) { if ($n < 2) { return $n; } return fib($n-1) + fib($n-2); } \
@@ -271,101 +274,27 @@ let micro_results () : (string * float) list =
   in
   compiler_micros @ interp_micros |> List.sort compare
 
+(** Interpreter-regression cap: the threaded-dispatch rebuild (DESIGN.md
+    §11) put [pipeline/interp fib(12)] at ~120 µs. *)
+let fib12_cap_ns = 130_000.0
+
 let micro () =
   hdr "Microbenchmarks: wall-clock time of the JIT pipeline (bechamel)"
     "(not in the paper; JIT-time engineering numbers)";
+  let results = micro_results () in
   List.iter
     (fun (name, est) -> Printf.printf "%-32s %12.0f ns/run\n" name est)
-    (micro_results ())
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable trajectory: BENCH_hotpath.json                     *)
-(* ------------------------------------------------------------------ *)
-
-(** Wall-clock + simulated cycles for the full perflab lifecycle of one
-    execution mode.  Wall time is best-of-[reps] (the perflab itself is
-    deterministic; only host noise varies). *)
-type mode_sample = {
-  ms_name : string;
-  ms_wall_s : float;
-  ms_cycles_per_req : float;
-  ms_code_bytes : int;
-  ms_output_hash : int;
-}
-
-let measure_mode ~(reps : int) (name : string) (mode : Core.Jit_options.mode)
-  : mode_sample =
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = Server.Perflab.run mode in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    last := Some r
-  done;
-  let r = Option.get !last in
-  { ms_name = name;
-    ms_wall_s = !best;
-    ms_cycles_per_req = r.Server.Perflab.r_weighted;
-    ms_code_bytes = r.Server.Perflab.r_code_bytes;
-    ms_output_hash = r.Server.Perflab.r_output_hash }
-
-(** Pull the balanced-brace object following ["baseline":] out of an
-    existing trajectory file, so re-runs preserve the original baseline.
-    (Our emitter never puts braces inside strings, so a depth scan is
-    sufficient — no JSON parser dependency.) *)
-let extract_baseline (path : string) : string option =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    let needle = "\"baseline\":" in
-    let rec find i =
-      if i + String.length needle > len then None
-      else if String.sub s i (String.length needle) = needle then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some i ->
-      (match String.index_from_opt s i '{' with
-       | None -> None
-       | Some start ->
-         let rec scan j depth =
-           if j >= len then None
-           else match s.[j] with
-             | '{' -> scan (j + 1) (depth + 1)
-             | '}' ->
-               if depth = 1 then Some (String.sub s start (j - start + 1))
-               else scan (j + 1) (depth - 1)
-             | _ -> scan (j + 1) depth
-         in
-         scan start 0)
+    results;
+  let fib12 = List.assoc "pipeline/interp fib(12)" results in
+  if fib12 > fib12_cap_ns then begin
+    Printf.eprintf "ERROR: interp fib(12) %.0f ns exceeds the %.0f ns cap\n"
+      fib12 fib12_cap_ns;
+    exit 1
   end
 
-let sample_json (m : mode_sample) : string =
-  Printf.sprintf
-    "    \"%s\": { \"wall_s\": %.6f, \"cycles_per_req\": %.1f, \
-     \"code_bytes\": %d }"
-    m.ms_name m.ms_wall_s m.ms_cycles_per_req m.ms_code_bytes
-
-(** Best-of-[reps] wall clock for a tweaked Region perflab, plus the last
-    result (the perflab itself is deterministic). *)
-let measure_region ~(reps : int) ~(tweak : Core.Jit_options.t -> unit)
-  : float * Server.Perflab.result =
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = Server.Perflab.run ~tweak Core.Jit_options.Region in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    last := Some r
-  done;
-  (!best, Option.get !last)
+(* ------------------------------------------------------------------ *)
+(* Parallel retranslate-all: pause by --jit-workers count              *)
+(* ------------------------------------------------------------------ *)
 
 (** Retranslate-all pause vs worker count: same Region perflab, only the
     compile-phase parallelism varies.  Pause is the engine's wall-clock
@@ -391,6 +320,38 @@ let measure_retranslate ~(reps : int) (workers : int)
   done;
   (!best, !best_compile, Option.get !last)
 
+let retranslate () =
+  hdr "Parallel retranslate-all: pause by --jit-workers count"
+    "(background JIT workers keep the serving stall to the serial publish, \
+     §6.3)";
+  let rows =
+    List.map (fun w -> (w, measure_retranslate ~reps:3 w)) [ 1; 2; 4 ]
+  in
+  Printf.printf "%12s %12s %20s %12s %14s\n"
+    "jit-workers" "pause (ms)" "compile burst (ms)" "code bytes" "output hash";
+  List.iter
+    (fun (w, (pause, compile, (r : Server.Perflab.result))) ->
+       Printf.printf "%12d %12.3f %20.3f %12d %14d\n" w pause compile
+         r.Server.Perflab.r_code_bytes r.Server.Perflab.r_output_hash)
+    rows;
+  let _, (pause1, _, r1) = List.hd rows in
+  let pause4, _, _ = List.assoc 4 rows in
+  Printf.printf "\npause speedup @ 4 workers: %.2fx\n"
+    (if pause4 > 0.0 then pause1 /. pause4 else 0.0);
+  let deterministic =
+    List.for_all
+      (fun (_, (_, _, (r : Server.Perflab.result))) ->
+         r.Server.Perflab.r_output_hash = r1.Server.Perflab.r_output_hash
+         && r.Server.Perflab.r_code_bytes = r1.Server.Perflab.r_code_bytes)
+      rows
+  in
+  Printf.printf "deterministic across worker counts: %b\n" deterministic;
+  if not deterministic then begin
+    prerr_endline
+      "ERROR: output hash or code bytes diverge across --jit-workers counts";
+    exit 1
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Parallel request serving: throughput by request-worker count        *)
 (* ------------------------------------------------------------------ *)
@@ -410,8 +371,33 @@ type serving_sample = {
   ss_lazy : int;                    (* lazy_translate.compiled *)
 }
 
-(** Bring up a fresh engine (warmup + retranslate, as a production server
-    would have by steady state), then serve a deterministic request mix
+(** A fresh engine brought to steady state, as a production server would
+    have it: load, hhbbc, install with [opts], 15 warmup rounds over the
+    endpoint mix, one retranslate-all. *)
+let steady_engine (opts : Core.Jit_options.t) =
+  let u = Vm.Loader.load Workloads.Endpoints.source in
+  ignore (Hhbbc.Assert_insert.run u);
+  ignore (Hhbbc.Bc_opt.run u);
+  let eng = Core.Engine.install ~opts u in
+  for round = 0 to 14 do
+    List.iter
+      (fun (ep : Workloads.Endpoints.endpoint) ->
+         let reps = max 1 (ep.Workloads.Endpoints.ep_weight / 10) in
+         for k = 0 to reps - 1 do
+           ignore (Server.Perflab.call_endpoint u ep (round * 3 + k))
+         done)
+      Workloads.Endpoints.endpoints
+  done;
+  ignore (Core.Engine.retranslate_all eng);
+  (u, eng)
+
+let worker_opts ~(jit_workers : int) ~(request_workers : int) =
+  let opts = Core.Jit_options.default () in
+  opts.Core.Jit_options.jit_workers <- jit_workers;
+  opts.Core.Jit_options.request_workers <- request_workers;
+  opts
+
+(** Bring up a steady-state engine, then serve a deterministic request mix
     across [request_workers] domains and measure throughput.  Wall clock
     is best-of-[reps]; outputs and the hash are deterministic, so only the
     last run's result is kept. *)
@@ -420,23 +406,7 @@ let measure_serving ~(reps : int) ~(jit_workers : int)
   let best = ref infinity in
   let last = ref None in
   for _ = 1 to reps do
-    let u = Vm.Loader.load Workloads.Endpoints.source in
-    ignore (Hhbbc.Assert_insert.run u);
-    ignore (Hhbbc.Bc_opt.run u);
-    let opts = Core.Jit_options.default () in
-    opts.Core.Jit_options.jit_workers <- jit_workers;
-    opts.Core.Jit_options.request_workers <- request_workers;
-    let eng = Core.Engine.install ~opts u in
-    for round = 0 to 14 do
-      List.iter
-        (fun (ep : Workloads.Endpoints.endpoint) ->
-           let reps = max 1 (ep.Workloads.Endpoints.ep_weight / 10) in
-           for k = 0 to reps - 1 do
-             ignore (Server.Perflab.call_endpoint u ep (round * 3 + k))
-           done)
-        Workloads.Endpoints.endpoints
-    done;
-    ignore (Core.Engine.retranslate_all eng);
+    let u, eng = steady_engine (worker_opts ~jit_workers ~request_workers) in
     let requests = Server.Serving.mix ~rounds:30 () in
     (* per-burst counter deltas: warmup and retranslate also dispatch, so
        the burst's own miss/fallback/lazy-compile counts are deltas around
@@ -457,31 +427,13 @@ let measure_serving ~(reps : int) ~(jit_workers : int)
   done;
   let requests, r, (miss, fallback, lazy_compiled) = Option.get !last in
   let n = Array.length requests in
-  (* weighted avg cycles/request: average per endpoint, weight by mix share *)
-  let acc = Hashtbl.create 16 in
-  Array.iteri
-    (fun i (rq : Server.Serving.request) ->
-       let name = rq.Server.Serving.rq_ep.Workloads.Endpoints.ep_name in
-       let c, k = Option.value (Hashtbl.find_opt acc name) ~default:(0, 0) in
-       Hashtbl.replace acc name (c + r.Server.Serving.sv_cycles.(i), k + 1))
-    requests;
-  let wsum, csum =
-    List.fold_left
-      (fun (ws, cs) (ep : Workloads.Endpoints.endpoint) ->
-         match Hashtbl.find_opt acc ep.ep_name with
-         | None -> (ws, cs)
-         | Some (c, k) ->
-           (ws + ep.ep_weight,
-            cs +. float_of_int ep.ep_weight
-                  *. (float_of_int c /. float_of_int k)))
-      (0, 0.0) Workloads.Endpoints.endpoints
-  in
   { ss_jit_workers = jit_workers;
     ss_request_workers = request_workers;
     ss_requests = n;
     ss_wall_s = !best;
     ss_req_per_s = float_of_int n /. !best;
-    ss_weighted_cycles = csum /. float_of_int wsum;
+    ss_weighted_cycles =
+      Server.Serving.weighted_cycles requests r.Server.Serving.sv_cycles;
     ss_output_hash = r.Server.Serving.sv_output_hash;
     ss_miss = miss;
     ss_fallback = fallback;
@@ -530,28 +482,6 @@ let print_serving (samples : serving_sample list) (deterministic : bool) =
 (* Startup: cold vs jumpstarted requests-to-steady-state (§6.2)        *)
 (* ------------------------------------------------------------------ *)
 
-let startup_metrics_json (m : Server.Startup.startup_metrics) : string =
-  Printf.sprintf
-    "{ \"requests_to_steady\": %d, \"first_window_pct\": %.1f, \
-     \"point_a_min\": %.2f, \"point_b_min\": %.2f, \"point_c_min\": %.2f, \
-     \"prof_translations\": %d, \"opt_translations\": %d, \
-     \"retranslate_runs\": %d, \"main_code_kb\": %d, \"output_hash\": %d }"
-    m.Server.Startup.su_requests_to_steady m.Server.Startup.su_first_window_pct
-    m.Server.Startup.su_point_a_min m.Server.Startup.su_point_b_min
-    m.Server.Startup.su_point_c_min m.Server.Startup.su_prof_translations
-    m.Server.Startup.su_opt_translations m.Server.Startup.su_retranslate_runs
-    m.Server.Startup.su_main_code_kb m.Server.Startup.su_output_hash
-
-let startup_json (r : Server.Startup.startup_report) : string =
-  Printf.sprintf
-    "{\n    \"cold\": %s,\n    \"jumpstart\": %s,\n    \
-     \"delta_requests\": %d,\n    \"hash_match\": %b,\n    \
-     \"image_bytes\": %d\n  }"
-    (startup_metrics_json r.Server.Startup.sr_cold)
-    (startup_metrics_json r.Server.Startup.sr_jump)
-    r.Server.Startup.sr_delta_requests r.Server.Startup.sr_hash_match
-    r.Server.Startup.sr_image_bytes
-
 let print_startup (r : Server.Startup.startup_report) =
   let row name (m : Server.Startup.startup_metrics) =
     Printf.printf
@@ -596,39 +526,6 @@ let startup () =
      skip the warmup cliff";
   print_startup (Server.Startup.measure_startup ())
 
-(** The deterministic serving report behind the json target: fresh
-    engine, standard warmup and retranslate-all (steady state), then
-    [Serving.measure] over the mix with a second retranslate-all fired
-    at the halfway point — so the report covers epoch adoption and the
-    retranslate-pause phase too.  Lazy in-burst translation is on so the
-    miss-enqueue and lease-wait phases have traffic.  The measured burst
-    is single-domain and slot-ordered, so the emitted JSON is
-    byte-identical on any host and any worker configuration. *)
-let measure_serving_report () : string =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
-  let opts = Core.Jit_options.default () in
-  opts.Core.Jit_options.lazy_translate <- true;
-  let eng = Core.Engine.install ~opts u in
-  for round = 0 to 14 do
-    List.iter
-      (fun (ep : Workloads.Endpoints.endpoint) ->
-         let reps = max 1 (ep.Workloads.Endpoints.ep_weight / 10) in
-         for k = 0 to reps - 1 do
-           ignore (Server.Perflab.call_endpoint u ep (round * 3 + k))
-         done)
-      Workloads.Endpoints.endpoints
-  done;
-  ignore (Core.Engine.retranslate_all eng);
-  let requests = Server.Serving.mix ~rounds:30 () in
-  let trigger =
-    (Array.length requests / 2,
-     fun () -> ignore (Core.Engine.retranslate_all eng))
-  in
-  let m = Server.Serving.measure ~trigger u eng requests in
-  Server.Serving.report_json requests m
-
 (* ------------------------------------------------------------------ *)
 (* TC lifecycle: liveness-driven eviction + Main compaction under a    *)
 (* shifting request mix (§6.4's budget pressure, made continuous)      *)
@@ -664,31 +561,14 @@ type lifecycle_sample = {
     underneath it. *)
 let lifecycle_threshold = 3
 
-(** Fresh engine brought to steady state (warmup + retranslate-all) with
-    the lifecycle knobs set.  Same bring-up as [measure_serving]. *)
+(** A steady-state engine with the lifecycle knobs set. *)
 let lifecycle_engine ~(budget : int option) ~(jit_workers : int)
     ~(request_workers : int) ~(threshold : int) ~(compact : bool) () =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
-  let opts = Core.Jit_options.default () in
-  opts.Core.Jit_options.jit_workers <- jit_workers;
-  opts.Core.Jit_options.request_workers <- request_workers;
+  let opts = worker_opts ~jit_workers ~request_workers in
   opts.Core.Jit_options.code_budget <- budget;
   opts.Core.Jit_options.tc_evict_threshold <- threshold;
   opts.Core.Jit_options.tc_compact <- compact;
-  let eng = Core.Engine.install ~opts u in
-  for round = 0 to 14 do
-    List.iter
-      (fun (ep : Workloads.Endpoints.endpoint) ->
-         let reps = max 1 (ep.Workloads.Endpoints.ep_weight / 10) in
-         for k = 0 to reps - 1 do
-           ignore (Server.Perflab.call_endpoint u ep (round * 3 + k))
-         done)
-      Workloads.Endpoints.endpoints
-  done;
-  ignore (Core.Engine.retranslate_all eng);
-  (u, eng)
+  steady_engine opts
 
 (** Size the deployment cap off an uncapped bring-up: steady-state counted
     bytes plus a sliver of headroom.  Holes left by eviction count against
@@ -831,39 +711,6 @@ let lifecycle_parity ~(budget : int) ()
   in
   (rows, deterministic)
 
-let lifecycle_json (s : lifecycle_sample)
-    (rows : (int * int * int * int) list) (deterministic : bool) : string =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "    \"code_budget\": %d,\n" s.tl_budget;
-  add "    \"opt_translations\": %d,\n" s.tl_opt_translations;
-  add "    \"evicted\": %d,\n" s.tl_evicted;
-  add "    \"evicted_bytes\": %d,\n" s.tl_evicted_bytes;
-  add "    \"holes_bytes_before_compact\": %d,\n" s.tl_holes_before;
-  add "    \"holes_bytes_after_compact\": %d,\n" s.tl_holes_after;
-  add "    \"reclaimed_bytes\": %d,\n" s.tl_reclaimed;
-  add "    \"counted_bytes_before\": %d,\n" s.tl_counted_before;
-  add "    \"counted_bytes_after\": %d,\n" s.tl_counted_after;
-  add "    \"main_bytes_before\": %d,\n" s.tl_main_before;
-  add "    \"main_bytes_after\": %d,\n" s.tl_main_after;
-  add "    \"icache_misses_before\": %d,\n" s.tl_icache_before;
-  add "    \"icache_misses_after\": %d,\n" s.tl_icache_after;
-  add "    \"itlb_misses_before\": %d,\n" s.tl_itlb_before;
-  add "    \"itlb_misses_after\": %d,\n" s.tl_itlb_after;
-  add "    \"weighted_cycles_before\": %.1f,\n" s.tl_cycles_before;
-  add "    \"weighted_cycles_after\": %.1f,\n" s.tl_cycles_after;
-  add "    \"hash_stable_across_compaction\": %b,\n" s.tl_hash_stable;
-  add "    \"parity\": {\n";
-  List.iter
-    (fun (jw, rw, ha, hs) ->
-       add "      \"jw%d_rw%d\": { \"hash_steady\": %d, \
-            \"hash_shifted\": %d },\n"
-         jw rw ha hs)
-    rows;
-  add "      \"deterministic\": %b\n    }\n  }" deterministic;
-  Buffer.contents b
-
 (** Run the full lifecycle scenario: sized budget, measured single-domain
     sample, worker-config parity sweep. *)
 let lifecycle_sweep ()
@@ -897,6 +744,10 @@ let print_lifecycle (s : lifecycle_sample)
          jw rw ha hs)
     rows;
   Printf.printf "  parity across worker configurations: %b\n" deterministic;
+  if s.tl_evicted = 0 then begin
+    prerr_endline "ERROR: the mix shift evicted nothing";
+    exit 1
+  end;
   if not s.tl_hash_stable then begin
     prerr_endline "ERROR: output hash changed across eviction or compaction";
     exit 1
@@ -924,186 +775,6 @@ let serving () =
      translation cache, §2; single-core hosts show no wall-clock win)";
   let samples, deterministic = serving_sweep ~reps:3 in
   print_serving samples deterministic
-
-let json () =
-  let reps = 3 in
-  (* the bechamel micros run first, on a small fresh heap: the sweeps
-     below leave tens of MB of major-heap state behind, and GC pauses
-     from that state inflate the OLS estimates of the sub-ms micros *)
-  let micro = micro_results () in
-  let modes =
-    [ ("Interp", Core.Jit_options.Interp);
-      ("JIT-Tracelet", Core.Jit_options.Tracelet);
-      ("JIT-Profile", Core.Jit_options.ProfileOnly);
-      ("JIT-Region", Core.Jit_options.Region) ]
-  in
-  let samples = List.map (fun (n, m) -> measure_mode ~reps n m) modes in
-  let hash_match =
-    match samples with
-    | s :: rest -> List.for_all (fun s' -> s'.ms_output_hash = s.ms_output_hash) rest
-    | [] -> true
-  in
-  (* vmstats snapshot (Region mode, stats on) and the probe-overhead
-     measurement: identical stats-off run, wall-clock delta.  The snapshot
-     is captured before the stats-off runs reset the registry. *)
-  let wall_on, r_on = measure_region ~reps ~tweak:(fun _ -> ()) in
-  Core.Engine.sync_vmstats r_on.Server.Perflab.r_engine;
-  let vmstats_json = Obs.Vmstats.to_json ~indent:"  " () in
-  let wall_off, _ =
-    measure_region ~reps
-      ~tweak:(fun o -> o.Core.Jit_options.stats <- false)
-  in
-  let overhead_pct = 100.0 *. (wall_on -. wall_off) /. wall_off in
-  (* parallel retranslate-all: pause by worker count + determinism check *)
-  let worker_counts = [ 1; 2; 4 ] in
-  let retr = List.map (fun w -> (w, measure_retranslate ~reps w)) worker_counts in
-  let _, _, r1 = List.assoc 1 retr in
-  let retr_deterministic =
-    List.for_all
-      (fun (_, (_, _, (r : Server.Perflab.result))) ->
-         r.Server.Perflab.r_output_hash = r1.Server.Perflab.r_output_hash
-         && r.Server.Perflab.r_code_bytes = r1.Server.Perflab.r_code_bytes)
-      retr
-  in
-  let pause1, _, _ = List.assoc 1 retr in
-  let pause4, _, _ = List.assoc 4 retr in
-  let pause_speedup = if pause4 > 0.0 then pause1 /. pause4 else 0.0 in
-  (* parallel request serving: throughput sweep + determinism check *)
-  let serving_samples, serving_deterministic = serving_sweep ~reps in
-  (* the deterministic serving report (spans + percentiles + profile) *)
-  let serving_report = measure_serving_report () in
-  (* startup: cold vs jumpstarted requests-to-steady-state (§6.2) *)
-  let startup_rep = Server.Startup.measure_startup () in
-  (* tc lifecycle: eviction + compaction under a shifting mix *)
-  let lc_sample, lc_rows, lc_deterministic = lifecycle_sweep () in
-  let buf = Buffer.create 1024 in
-  let current = Buffer.create 1024 in
-  Buffer.add_string current "{\n  \"modes\": {\n";
-  Buffer.add_string current
-    (String.concat ",\n" (List.map sample_json samples));
-  Buffer.add_string current "\n  },\n  \"micro_ns_per_run\": {\n";
-  Buffer.add_string current
-    (String.concat ",\n"
-       (List.map
-          (fun (n, est) -> Printf.sprintf "    \"%s\": %.1f" n est)
-          micro));
-  Buffer.add_string current "\n  },\n  \"retranslate\": {\n";
-  Buffer.add_string current
-    (String.concat ",\n"
-       (List.map
-          (fun (w, (pause, compile, (r : Server.Perflab.result))) ->
-             Printf.sprintf
-               "    \"workers_%d\": { \"pause_ms\": %.3f, \"compile_ms\": \
-                %.3f, \"code_bytes\": %d, \"output_hash\": %d }"
-               w pause compile r.Server.Perflab.r_code_bytes
-               r.Server.Perflab.r_output_hash)
-          retr));
-  Buffer.add_string current
-    (Printf.sprintf
-       ",\n    \"pause_speedup_4w\": %.2f,\n    \"deterministic\": %b\n"
-       pause_speedup retr_deterministic);
-  Buffer.add_string current "  },\n  \"serving\": {\n";
-  Buffer.add_string current
-    (String.concat ",\n"
-       (List.map
-          (fun s ->
-             Printf.sprintf
-               "    \"jw%d_rw%d\": { \"requests\": %d, \"wall_s\": %.6f, \
-                \"req_per_s\": %.1f, \"weighted_cycles_per_req\": %.1f, \
-                \"translation_miss\": %d, \"interp_fallback\": %d, \
-                \"lazy_compiled\": %d, \"output_hash\": %d }"
-               s.ss_jit_workers s.ss_request_workers s.ss_requests
-               s.ss_wall_s s.ss_req_per_s s.ss_weighted_cycles
-               s.ss_miss s.ss_fallback s.ss_lazy s.ss_output_hash)
-          serving_samples));
-  Buffer.add_string current
-    (Printf.sprintf ",\n    \"deterministic\": %b\n" serving_deterministic);
-  Buffer.add_string current "  },\n  \"tc_lifecycle\": ";
-  Buffer.add_string current (lifecycle_json lc_sample lc_rows lc_deterministic);
-  Buffer.add_string current ",\n  \"startup\": ";
-  Buffer.add_string current (startup_json startup_rep);
-  Buffer.add_string current ",\n  \"serving_report\": ";
-  Buffer.add_string current serving_report;
-  Buffer.add_string current ",\n  \"vmstats\": ";
-  Buffer.add_string current vmstats_json;
-  Buffer.add_string current
-    (Printf.sprintf ",\n  \"vmstats_overhead_pct\": %.2f,\n" overhead_pct);
-  Buffer.add_string current
-    (Printf.sprintf "  \"differential_hash_match\": %b\n  }" hash_match);
-  let current = Buffer.contents current in
-  let path = "BENCH_hotpath.json" in
-  let baseline =
-    match extract_baseline path with
-    | Some b -> b
-    | None -> current
-  in
-  Buffer.add_string buf "{\n\"bench\": \"hotpath\",\n\"schema\": 1,\n";
-  Buffer.add_string buf "\"baseline\": ";
-  Buffer.add_string buf baseline;
-  Buffer.add_string buf ",\n\"current\": ";
-  Buffer.add_string buf current;
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  List.iter
-    (fun m ->
-       Printf.printf "%-14s wall %7.3f s   %10.0f cycles/req\n"
-         m.ms_name m.ms_wall_s m.ms_cycles_per_req)
-    samples;
-  Printf.printf "vmstats probe overhead: %+.2f%% wall (stats on vs off)\n"
-    overhead_pct;
-  List.iter
-    (fun (w, (pause, compile, _)) ->
-       Printf.printf
-         "retranslate pause_ms @ %d worker%s: %.3f (compile burst %.3f ms)\n"
-         w (if w = 1 then " " else "s") pause compile)
-    retr;
-  Printf.printf "retranslate pause speedup @ 4 workers: %.2fx\n" pause_speedup;
-  Printf.printf "retranslate deterministic across worker counts: %b\n"
-    retr_deterministic;
-  List.iter
-    (fun s ->
-       Printf.printf
-         "serving @ jw=%d rw=%d: %.0f req/s, %.0f weighted cycles/req\n"
-         s.ss_jit_workers s.ss_request_workers s.ss_req_per_s
-         s.ss_weighted_cycles)
-    serving_samples;
-  Printf.printf "serving deterministic across worker configurations: %b\n"
-    serving_deterministic;
-  Printf.printf "serving report: %d bytes of JSON embedded\n"
-    (String.length serving_report);
-  Printf.printf
-    "startup: cold steady after %d requests, jumpstarted after %d \
-     (delta %d), hash match %b\n"
-    startup_rep.Server.Startup.sr_cold.Server.Startup.su_requests_to_steady
-    startup_rep.Server.Startup.sr_jump.Server.Startup.su_requests_to_steady
-    startup_rep.Server.Startup.sr_delta_requests
-    startup_rep.Server.Startup.sr_hash_match;
-  Printf.printf "differential hash match: %b\n" hash_match;
-  (* print_lifecycle also enforces the lifecycle invariants (hash
-     stability, zero holes after compaction, worker-config parity) and
-     exits non-zero on violation *)
-  print_lifecycle lc_sample lc_rows lc_deterministic;
-  if not startup_rep.Server.Startup.sr_hash_match then begin
-    prerr_endline "ERROR: output hash diverges between cold and jumpstarted runs";
-    exit 1
-  end;
-  if not hash_match then begin
-    prerr_endline "ERROR: output hash mismatch across execution modes";
-    exit 1
-  end;
-  if not retr_deterministic then begin
-    prerr_endline
-      "ERROR: output hash or code bytes diverge across --jit-workers counts";
-    exit 1
-  end;
-  if not serving_deterministic then begin
-    prerr_endline
-      "ERROR: output hash diverges across request-worker configurations";
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* vmstats: key telemetry counters under each Fig. 10 knob             *)
@@ -1209,15 +880,18 @@ let () =
    | "serving" -> serving ()
    | "startup" -> startup ()
    | "tc_lifecycle" -> tc_lifecycle ()
-   | "json" -> json ()
+   | "retranslate" -> retranslate ()
    | "all" ->
+     (* micros first, on a fresh heap: the sweeps leave tens of MB of
+        major heap whose GC pauses inflate the timings *)
+     micro ();
      fig8 (); fig9 (); fig10 (); fig11 (); table1 (); ablate ();
-     vmstats (); serving (); startup (); tc_lifecycle (); micro ()
+     vmstats (); serving (); startup (); tc_lifecycle (); retranslate ()
    | other ->
      Printf.eprintf
        "unknown target %S \
         (use fig8|fig9|fig10|fig11|table1|ablate|vmstats|serving|startup|\
-         tc_lifecycle|micro|json|all)\n"
+         tc_lifecycle|retranslate|micro|all)\n"
        other;
      exit 1);
   line ()

@@ -3,19 +3,17 @@
 #   1. warning-clean build audit (threads/domain deps must be declared,
 #      so a fresh `dune build` prints nothing),
 #   2. tier-1 test suite,
-#   3. parallel retranslate-all smoke: JIT_WORKERS=4 exercises the env
-#      path, and `bench/main.exe json` sweeps --jit-workers {1,2,4} and
-#      exits nonzero when output hashes or code-cache byte totals
-#      diverge across worker counts,
+#   3. cross-mode differential: `bench/main.exe fig8` runs the full
+#      perflab in Interp, Tracelet, ProfileOnly and Region modes and
+#      exits nonzero when any mode's output hash differs,
 #   4. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
 #      env path through a multi-domain perflab serving burst, and the
 #      combined JIT_WORKERS=4 REQUEST_WORKERS=4 `bench/main.exe serving`
 #      sweep exits nonzero when per-request outputs diverge across any
 #      (jit x request) worker configuration,
-#   5. lazy-translation smoke: LAZY_TRANSLATE=1 forces the write-leased
-#      in-burst translation path through the same 4x4 sweep (nonzero on
-#      hash divergence), and the bench JSON's `serving` section must
-#      carry the per-burst miss/fallback counters,
+#   5. parallel retranslate-all: `bench/main.exe retranslate` sweeps
+#      --jit-workers {1,2,4} and exits nonzero when output hashes or
+#      code-cache byte totals diverge across worker counts,
 #   6. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
 #      process, `hhvm_run serve --jumpstart` adopts it in a fresh one,
 #      and the jumpstarted run must serve with ZERO profiling
@@ -24,19 +22,16 @@
 #   7. tc-lifecycle smoke: `bench/main.exe tc_lifecycle` runs the
 #      mix-shift scenario at JIT_WORKERS=4 REQUEST_WORKERS=4 — warm on
 #      one endpoint mix, shift the mix, decay/evict/compact — and exits
-#      nonzero on hash instability across evict/compact, leftover hole
-#      bytes after compaction, or output divergence across (jit x
-#      request) worker configs; the CLI env path (`serve` with
-#      TC_EVICT_THRESHOLD/TC_COMPACT) must evict yet hash-match a plain
-#      cold serve,
-#   8. serving-report + startup + tc_lifecycle validation:
-#      check_bench_json.sh asserts the serving_report section carries
-#      every percentile/phase/profile key, that the folded profile's
-#      cycle total equals the report's total serving cycles exactly,
-#      that the startup section shows the jumpstarted process reaching
-#      steady state strictly earlier than the cold one with a matching
-#      output hash, and that the tc_lifecycle section shows eviction
-#      fired, zero holes after compaction, and cross-config parity.
+#      nonzero when nothing was evicted, on hash instability across
+#      evict/compact, leftover hole bytes after compaction, or output
+#      divergence across (jit x request) worker configs; the CLI env
+#      path (`serve` with TC_EVICT_THRESHOLD/TC_COMPACT) must evict yet
+#      hash-match a plain cold serve,
+#   8. interpreter-regression gate: `bench/main.exe micro` exits nonzero
+#      when `pipeline/interp fib(12)` is above 130us (min of batches).
+# The serving-report keys and profile sum, the startup cold-vs-jumpstart
+# invariants and the lifecycle parity invariants are tier-1 tests
+# (test_spans, test_jumpstart, test_parallel).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,8 +46,8 @@ fi
 echo "== tier-1 tests =="
 dune runtest
 
-echo "== parallel retranslate smoke (4 workers) =="
-JIT_WORKERS=4 dune exec bench/main.exe -- json
+echo "== cross-mode differential (fig8: Interp/Tracelet/Profile/Region) =="
+dune exec bench/main.exe -- fig8
 
 echo "== parallel serving smoke (4 request workers) =="
 REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- --perflab
@@ -60,18 +55,8 @@ REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- --perflab
 echo "== combined compile x serving sweep (4x4) =="
 JIT_WORKERS=4 REQUEST_WORKERS=4 dune exec bench/main.exe -- serving
 
-echo "== lazy in-burst translation smoke (4x4, lease + epoch deltas) =="
-LAZY_TRANSLATE=1 JIT_WORKERS=4 REQUEST_WORKERS=4 \
-  dune exec bench/main.exe -- serving
-
-echo "== bench JSON serving counters =="
-dune exec bench/main.exe -- json
-for key in translation_miss interp_fallback; do
-  if ! grep -q "\"$key\"" BENCH_hotpath.json; then
-    echo "ERROR: BENCH_hotpath.json serving section lacks \"$key\""
-    exit 1
-  fi
-done
+echo "== parallel retranslate determinism (--jit-workers 1,2,4) =="
+dune exec bench/main.exe -- retranslate
 
 echo "== jumpstart smoke (warmup dump -> fresh-process restore) =="
 img=$(mktemp /tmp/jumpstart.XXXXXX.img)
@@ -131,7 +116,7 @@ if ! echo "$lc" | grep -q "0 hole bytes"; then
   exit 1
 fi
 
-echo "== serving report + startup + tc_lifecycle validation =="
-./scripts/check_bench_json.sh
+echo "== interpreter regression gate (fib(12) cap) =="
+dune exec bench/main.exe -- micro
 
 echo "CI OK"

@@ -595,6 +595,60 @@ let test_codecache_free_compact_accounting () =
     (section_bytes t Main);
   Alcotest.(check int) "alignment creates no holes" 0 (holes_bytes t)
 
+(* ---- Jit_options.resolve: flag > env > default ---- *)
+
+let test_resolve_precedence () =
+  let vars =
+    [ "JIT_WORKERS"; "REQUEST_WORKERS"; "LAZY_TRANSLATE";
+      "TC_EVICT_THRESHOLD"; "JIT_STATS" ]
+  in
+  let resolved set =
+    let o = Core.Jit_options.default () in
+    set o;
+    Core.Jit_options.resolve o;
+    o
+  in
+  let check_opts tag (o : Core.Jit_options.t) (jw, rw, lazy_, thr, stats) =
+    let open Core.Jit_options in
+    Alcotest.(check int) (tag ^ ": jit_workers") jw o.jit_workers;
+    Alcotest.(check int) (tag ^ ": request_workers") rw o.request_workers;
+    Alcotest.(check bool) (tag ^ ": lazy_translate") lazy_ o.lazy_translate;
+    Alcotest.(check int) (tag ^ ": tc_evict_threshold") thr
+      o.tc_evict_threshold;
+    Alcotest.(check bool) (tag ^ ": stats") stats o.stats
+  in
+  (* resolve ignores the empty string, so "" is how a variable is unset;
+     the values the process started with are put back afterwards *)
+  let saved = List.map (fun v -> (v, Sys.getenv_opt v)) vars in
+  Fun.protect
+    ~finally:(fun () ->
+        List.iter
+          (fun (v, old) -> Unix.putenv v (Option.value old ~default:""))
+          saved)
+    (fun () ->
+       List.iter (fun v -> Unix.putenv v "") vars;
+       check_opts "default" (resolved ignore) (1, 1, true, 0, true);
+       Unix.putenv "JIT_WORKERS" "3";
+       Unix.putenv "REQUEST_WORKERS" "2";
+       Unix.putenv "LAZY_TRANSLATE" "0";
+       Unix.putenv "TC_EVICT_THRESHOLD" "5";
+       Unix.putenv "JIT_STATS" "0";
+       check_opts "env over default" (resolved ignore) (3, 2, false, 5, false);
+       (* explicit settings beat the environment; LAZY_TRANSLATE=0 and
+          JIT_STATS=0 are kill switches, so they win over a flag that
+          leaves the feature on *)
+       check_opts "flag over env"
+         (resolved (fun o ->
+              o.Core.Jit_options.jit_workers <- 2;
+              o.Core.Jit_options.request_workers <- 4;
+              o.Core.Jit_options.tc_evict_threshold <- 7))
+         (2, 4, false, 7, false);
+       (* only 0/false/off reacts: LAZY_TRANSLATE=1 cannot turn it on *)
+       Unix.putenv "LAZY_TRANSLATE" "1";
+       Alcotest.(check bool) "LAZY_TRANSLATE=1 is a no-op" false
+         (resolved (fun o -> o.Core.Jit_options.lazy_translate <- false))
+           .Core.Jit_options.lazy_translate)
+
 let suite =
   ( "parallel",
     [ Alcotest.test_case "jit_worker task order" `Quick test_worker_order;
@@ -635,4 +689,6 @@ let suite =
       Alcotest.test_case "lifecycle: evict+compact parity {1,2,4}" `Quick
         test_lifecycle_parity;
       Alcotest.test_case "lifecycle: mass eviction mid-chain-follow" `Quick
-        test_lifecycle_evict_mid_chain ] )
+        test_lifecycle_evict_mid_chain;
+      Alcotest.test_case "options: flag > env > default" `Quick
+        test_resolve_precedence ] )

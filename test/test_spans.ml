@@ -129,13 +129,23 @@ let test_report_bit_identical () =
   let configs = [ (1, 1); (2, 2); (4, 1); (1, 4) ] in
   let runs = List.map (fun c -> (c, measured_report c)) configs in
   let _, (r1, _, _) = List.hd runs in
+  let contains needle =
+    let n = String.length needle in
+    let rec has i =
+      i + n <= String.length r1 && (String.sub r1 i n = needle || has (i + 1))
+    in
+    has 0
+  in
   Alcotest.(check bool) "report carries its schema tag" true
-    (String.length r1 > 0
-     && (let rec has i =
-           i + 16 <= String.length r1
-           && (String.sub r1 i 16 = "serving-report/1" || has (i + 1))
-         in
-         has 0));
+    (contains "\"serving-report/1\"");
+  List.iter
+    (fun key ->
+       Alcotest.(check bool) ("report carries key " ^ key) true
+         (contains (Printf.sprintf "\"%s\":" key)))
+    [ "weighted_cycles_per_req"; "request_cycles"; "p50"; "p95"; "p99";
+      "max"; "request_cycles_log2_estimate"; "phases"; "epoch_adopt";
+      "jit_dispatch"; "interp_fallback"; "miss_enqueue"; "lease_wait";
+      "retranslate_pause"; "profile"; "per_endpoint" ];
   List.iter
     (fun ((jw, rw), (r, _, _)) ->
        Alcotest.(check string)
