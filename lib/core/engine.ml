@@ -1639,7 +1639,7 @@ let chain_length (eng : t) ~(fid : int) ~(pc : int) : int =
 
 (** Sample the engine's level-style metrics into vmstats gauges.  These are
     cheap to read on demand but would be expensive to maintain per event,
-    so dumps ([--vmstats], bench json) sync them just before reading. *)
+    so dumps ([--vmstats]) sync them just before reading. *)
 let sync_vmstats (eng : t) : unit =
   let g name v = Obs.Vmstats.set (Obs.Vmstats.gauge name) v in
   let m = eng.machine in

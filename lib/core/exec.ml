@@ -55,17 +55,12 @@ let need_arr_node (v : value) : arr counted =
 (* Runtime helpers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let cmp_apply (c : Hhir.Ir.cmp) (n : int) : bool =
-  match c with
-  | Ceq -> n = 0 | Cne -> n <> 0 | Clt -> n < 0
-  | Cle -> n <= 0 | Cgt -> n > 0 | Cge -> n >= 0
-
 let run_helper (m : machine) (frame : Vm.Interp.frame) (h : helper)
     (args : value array) : value =
   let a n = args.(n) in
   let dispatch = !Vm.Interp.call_dispatch in
   match h with
-  | HGenBinop op -> Vm.Interp.binop_apply op (a 0) (a 1)
+  | HGenBinop op -> Runtime.Ops.binop_fn op (a 0) (a 1)
   | HGenToBool -> VBool (truthy (a 0))
   | HGenPrint -> Vm.Output.write (to_string_val (a 0)); VNull
   | HPrintStr | HPrintInt -> Vm.Output.write (to_string_val (a 0)); VNull
@@ -126,7 +121,7 @@ let run_helper (m : machine) (frame : Vm.Interp.frame) (h : helper)
   | HIncDecProp (slot, op) ->
     let o = need_obj (a 0) in
     let old = o.data.props.(slot) in
-    let nv, result = Vm.Interp.incdec_apply op old in
+    let nv, result = Runtime.Ops.incdec op old in
     o.data.props.(slot) <- nv;
     result
   | HIssetPropGen p ->
@@ -290,33 +285,20 @@ let run_with_state (m : machine) (tr : Translation.t) ~(entry : int)
      | VMov (d, s) -> wr d (rd s)
      | VArithI (op, d, x, y) ->
        let xi = to_int_val (rd x) and yi = to_int_val (rd y) in
-       let r = match op with
-         | Add -> xi + yi | Sub -> xi - yi | Mul -> xi * yi
-         | Div -> if yi = 0 then fatal "division by zero" else xi / yi
-         | Mod -> if yi = 0 then fatal "modulo by zero" else xi mod yi
-         | And -> xi land yi | Or -> xi lor yi | Xor -> xi lxor yi
-         | Shl -> xi lsl (yi land 63) | Shr -> xi asr (yi land 63)
-       in
-       wr d (VInt r)
+       wr d (VInt (Runtime.Ops.int_arith op xi yi))
      | VArithD (op, d, x, y) ->
        let xd = to_dbl_val (rd x) and yd = to_dbl_val (rd y) in
-       let r = match op with
-         | Add -> xd +. yd | Sub -> xd -. yd | Mul -> xd *. yd
-         | Div -> if yd = 0.0 then fatal "division by zero" else xd /. yd
-         | Mod -> Float.rem xd yd
-         | _ -> fatal "bad double op"
-       in
-       wr d (VDbl r)
+       wr d (VDbl (Runtime.Ops.dbl_arith op xd yd))
      | VNegI (d, s) -> wr d (VInt (- to_int_val (rd s)))
      | VNegD (d, s) -> wr d (VDbl (-. to_dbl_val (rd s)))
      | VNotB (d, s) -> wr d (VBool (not (truthy_word (rd s))))
      | VCvtID (d, s) -> wr d (VDbl (float_of_int (to_int_val (rd s))))
      | VCmpI (c, d, x, y) ->
-       wr d (VBool (cmp_apply c (compare (to_int_val (rd x)) (to_int_val (rd y)))))
+       wr d (VBool (Runtime.Ops.cmp_int c (to_int_val (rd x)) (to_int_val (rd y))))
      | VCmpD (c, d, x, y) ->
-       wr d (VBool (cmp_apply c (compare (to_dbl_val (rd x)) (to_dbl_val (rd y)))))
+       wr d (VBool (Runtime.Ops.cmp_dbl c (to_dbl_val (rd x)) (to_dbl_val (rd y))))
      | VCmpS (c, d, x, y) ->
-       wr d (VBool (cmp_apply c (compare (to_string_val (rd x)) (to_string_val (rd y)))))
+       wr d (VBool (Runtime.Ops.cmp_str c (to_string_val (rd x)) (to_string_val (rd y))))
      | VCmpB (d, x, y) ->
        wr d (VBool (truthy_word (rd x) = truthy_word (rd y)))
      | VToBool (d, s) -> wr d (VBool (truthy_word (rd s)))

@@ -62,8 +62,6 @@ let compare_by (m : sort_mode) (a : Translation.t) (b : Translation.t) : int =
      | c -> c)
   | c -> c
 
-let by_weight = compare_by By_execs
-
 let guard_to_string (func : Hhbc.Instr.func) (g : Rd.guard) : string =
   Printf.sprintf "%s:%s<%s>"
     (Rd.loc_to_string ~func g.Rd.g_loc)

@@ -322,13 +322,3 @@ let relocate ~(cache : Simcpu.Codecache.t) (tr : t) : bool =
       tr.tr_hot_base <- hot_base;
       tr.tr_cold_base <- cold_base;
       true
-
-(** Assemble a register-allocated program into the code cache (prepare +
-    place in one step — the serial lazy-compile path).  Returns None when
-    the code budget is exhausted. *)
-let assemble ~(fid : int) ~(srckey : int) ~(kind : kind)
-    ~(ra : Vasm.Regalloc.result)
-    ~(sections : (int, Vasm.Layout.section) Hashtbl.t)
-    ~(entries : (Region.Rdesc.block * int) list)
-    ~(cache : Simcpu.Codecache.t) : t option =
-  place ~cache (prepare ~fid ~srckey ~kind ~ra ~sections ~entries)

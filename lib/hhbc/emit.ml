@@ -91,14 +91,6 @@ let new_iter ctx =
   ctx.niters <- i + 1;
   i
 
-let binop_of_ast : Mphp.Ast.binop -> Instr.binop = function
-  | Add -> OpAdd | Sub -> OpSub | Mul -> OpMul | Div -> OpDiv | Mod -> OpMod
-  | Concat -> OpConcat
-  | Eq -> OpEq | Neq -> OpNeq | Same -> OpSame | NSame -> OpNSame
-  | Lt -> OpLt | Lte -> OpLte | Gt -> OpGt | Gte -> OpGte
-  | BitAnd -> OpBitAnd | BitOr -> OpBitOr | BitXor -> OpBitXor
-  | Shl -> OpShl | Shr -> OpShr
-
 (** Constant evaluation for defaults (parameters, properties).  The AST has
     been constant-folded, so anything non-literal here is a user error. *)
 let rec const_of_expr (e : expr) : cval =
@@ -147,7 +139,7 @@ let rec emit_expr ctx (e : expr) : unit =
       items
   | Binop (op, a, b) ->
     emit_expr ctx a; emit_expr ctx b;
-    emit ctx (Instr.Binop (binop_of_ast op))
+    emit ctx (Instr.Binop (Mphp.Ast.vm_binop op))
   | Unop (Neg, a) -> emit_expr ctx a; emit ctx Instr.Neg
   | Unop (Not, a) -> emit_expr ctx a; emit ctx Not
   | Unop (BitNot, a) -> emit_expr ctx a; emit ctx BitNot
@@ -556,8 +548,8 @@ let emit_fun (u : Hunit.t) ~(id : int) ~(name : string) ~(cls : string option)
 
 (** Compile a whole program into a unit.  Performs the AST constant-folding
     pass first (the hphpc role), then emits every function and method. *)
-let emit_program ?(fold = true) (prog : program) : Hunit.t =
-  let prog = if fold then Mphp.Ast_opt.fold_program prog else prog in
+let emit_program (prog : program) : Hunit.t =
+  let prog = Mphp.Ast_opt.fold_program prog in
   let u = Hunit.create () in
   (* pass 1: assign function ids so calls can be resolved directly *)
   let pending = ref [] in

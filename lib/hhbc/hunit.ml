@@ -29,11 +29,6 @@ let create () : t = {
   interfaces = [];
 }
 
-let add_func (u : t) (f : func) =
-  assert (f.fn_id = Array.length u.functions);
-  u.functions <- Array.append u.functions [| f |];
-  Hashtbl.replace u.func_by_name f.fn_name f.fn_id
-
 let func (u : t) (id : int) : func = u.functions.(id)
 
 let find_func (u : t) (name : string) : int option =

@@ -9,9 +9,10 @@
 
 type local = int
 
-type incdec_op = PostInc | PostDec | PreInc | PreDec
+(* The operator sets are {!Runtime.Ops}'s, which defines their semantics. *)
+type incdec_op = Runtime.Ops.incdec_op = PostInc | PostDec | PreInc | PreDec
 
-type binop =
+type binop = Runtime.Ops.binop =
   | OpAdd | OpSub | OpMul | OpDiv | OpMod | OpConcat
   | OpEq | OpNeq | OpSame | OpNSame
   | OpLt | OpLte | OpGt | OpGte
@@ -150,15 +151,6 @@ let branch_targets (i : t) : int list =
   | Jmp t | JmpZ t | JmpNZ t -> [ t ]
   | IterInit (_, t) | IterNext (_, t) -> [ t ]
   | _ -> []
-
-(** Conservative: does executing this instruction possibly raise a PHP
-    exception or fatal (and hence require a side-exit point in the JIT)? *)
-let can_throw = function
-  | Int _ | Dbl _ | String _ | True | False | Null | NewArray
-  | Jmp _ | JmpZ _ | JmpNZ _ | PopC | Dup | Nop
-  | AssertRATL _ | AssertRATStk _ | IssetL _ | UnsetL _
-  | SetL _ | PopL _ | PushL _ | CGetQuietL _ | IsTypeL _ -> false
-  | _ -> true
 
 (** Net evaluation-stack effect (pushes minus pops) of one instruction. *)
 let stack_effect (i : t) : int =

@@ -23,7 +23,7 @@ type tmp = {
   mutable t_ty : R.t;
 }
 
-type cmp = Ceq | Cne | Clt | Cle | Cgt | Cge
+type cmp = Runtime.Ops.cmp = Ceq | Cne | Clt | Cle | Cgt | Cge
 
 let cmp_name = function
   | Ceq -> "Eq" | Cne -> "Ne" | Clt -> "Lt" | Cle -> "Le" | Cgt -> "Gt" | Cge -> "Ge"
@@ -217,12 +217,6 @@ let is_terminal (op : op) : bool =
   | Jmp | ReqBind _ | RetC -> true
   | _ -> false
 
-let is_branch (op : op) : bool =
-  match op with
-  | JmpZero | JmpNZero | CheckLoc _ | CheckStk _ | CheckType | IterInitH _
-  | IterNextH _ -> true
-  | _ -> false
-
 (** Pure instructions (no side effects, no memory writes, cannot exit) —
     eligible for GVN and DCE. *)
 let is_pure (op : op) : bool =
@@ -240,19 +234,6 @@ let is_pure (op : op) : bool =
   | CountArray | IsType _ | IssetVal
   | InstanceOfBits _ | InstanceOfGen _
   | Nop -> true
-  | _ -> false
-
-(** Does the instruction read VM memory (locals / stack / heap)?  Used by
-    load elimination to know what invalidates cached loads. *)
-let writes_memory (op : op) : bool =
-  match op with
-  | StLoc _ | StStk _ | StPropRaw _ | StPropGen _ | IncDecProp _
-  | ArrAppend | ArrSet | ArrUnset
-  | CallPhp _ | CallPhpT _ | CallMethodSlow _ | CallMethodCached _ | CallCtor _
-  | CallBuiltin _
-  | IterKVH _ | IterInitH _ | IterNextH _ | IterFreeH _
-  | DecRef (* may run a destructor, which can write anything *)
-  | Teardown -> true
   | _ -> false
 
 (* ------------------------------------------------------------------ *)

@@ -37,20 +37,6 @@ type options = {
   o_relax : bool;
 }
 
-let default_options = {
-  o_inline = true;
-  o_method_dispatch = true;
-  o_inline_cache = true;
-  o_max_inline_blocks = 4;
-  o_max_inline_instrs = 40;
-  o_rce = true;
-  o_load_elim = true;
-  o_store_elim = true;
-  o_gvn = true;
-  o_simplify = true;
-  o_relax = true;
-}
-
 (* inline caches for CallMethodCached: ids are allocated at lowering time
    but are *unit-local* (0-based per lowered IR); Translation.place maps
    them onto globally unique ids when the code is installed, keeping the
@@ -1302,13 +1288,17 @@ let compute_chains (region : Region.Rdesc.t)
 
 (** Incoming type knowledge for a chain-head block: the join of all
     intra-region predecessors' postconditions (guard elision, the payoff of
-    regions over tracelets). *)
+    regions over tracelets).  A jump to a bytecode pc enters that pc's
+    chain head whichever block of the chain its arc names, so every arc
+    into a block starting at the head's pc counts. *)
 let incoming_knowledge (region : Region.Rdesc.t) (rb : Region.Rdesc.block)
   : (Region.Rdesc.loc, R.t) Hashtbl.t option =
   let preds =
     List.filter_map
       (fun (s, d) ->
-         if d = rb.b_id then Some (Region.Rdesc.find_block region s) else None)
+         if (Region.Rdesc.find_block region d).b_start = rb.b_start then
+           Some (Region.Rdesc.find_block region s)
+         else None)
       region.r_arcs
   in
   if preds = [] then None

@@ -4,11 +4,21 @@
 open Hhir.Ir
 module R = Hhbc.Rtype
 
+module Ops = Runtime.Ops
+
 type konst =
   | KInt of int
   | KDbl of float
   | KBool of bool
   | KNull
+
+(* Folds compute through {!Runtime.Ops}, the interpreter's own operator
+   semantics, and decline where it raises (a zero modulus). *)
+let int_op : op -> Ops.iop = function
+  | AddInt -> Add | SubInt -> Sub | MulInt -> Mul | ModInt -> Mod
+  | AndInt -> And | OrInt -> Or | XorInt -> Xor | ShlInt -> Shl
+  | ShrInt -> Shr
+  | _ -> invalid_arg "Simplify.int_op"
 
 let run (u : t) : int =
   let changed = ref 0 in
@@ -58,37 +68,16 @@ let run (u : t) : int =
                Option.iter (fun d -> Hashtbl.replace consts d.t_id (KBool bv)) i.i_dst
              | ConstNull, _ ->
                Option.iter (fun d -> Hashtbl.replace consts d.t_id KNull) i.i_dst
-             | AddInt, [ a; c ] ->
-               (match const_of a, const_of c with
-                | Some (KInt x), Some (KInt y) -> set_const i (KInt (x + y))
-                | _, Some (KInt 0) -> set_copy i a
-                | Some (KInt 0), _ -> set_copy i c
-                | _ -> ())
-             | SubInt, [ a; c ] ->
-               (match const_of a, const_of c with
-                | Some (KInt x), Some (KInt y) -> set_const i (KInt (x - y))
-                | _, Some (KInt 0) -> set_copy i a
-                | _ -> ())
-             | MulInt, [ a; c ] ->
-               (match const_of a, const_of c with
-                | Some (KInt x), Some (KInt y) -> set_const i (KInt (x * y))
-                | _, Some (KInt 1) -> set_copy i a
-                | Some (KInt 1), _ -> set_copy i c
-                | _ -> ())
-             | ModInt, [ a; c ] ->
-               (match const_of a, const_of c with
-                | Some (KInt x), Some (KInt y) when y <> 0 ->
-                  set_const i (KInt (x mod y))
-                | _ -> ())
-             | (AndInt | OrInt | XorInt | ShlInt | ShrInt), [ a; c ] ->
-               (match const_of a, const_of c with
-                | Some (KInt x), Some (KInt y) ->
-                  let v = match i.i_op with
-                    | AndInt -> x land y | OrInt -> x lor y
-                    | XorInt -> x lxor y
-                    | ShlInt -> x lsl (y land 63) | _ -> x asr (y land 63)
-                  in
-                  set_const i (KInt v)
+             | (AddInt | SubInt | MulInt | ModInt
+               | AndInt | OrInt | XorInt | ShlInt | ShrInt as op), [ a; c ] ->
+               (match op, const_of a, const_of c with
+                | _, Some (KInt x), Some (KInt y) ->
+                  Option.iter (fun n -> set_const i (KInt n))
+                    (Ops.fold (Ops.int_arith (int_op op)) x y)
+                | (AddInt | SubInt), _, Some (KInt 0)
+                | MulInt, _, Some (KInt 1) -> set_copy i a
+                | AddInt, Some (KInt 0), _
+                | MulInt, Some (KInt 1), _ -> set_copy i c
                 | _ -> ())
              | NegInt, [ a ] ->
                (match const_of a with
@@ -96,7 +85,8 @@ let run (u : t) : int =
                 | _ -> ())
              | AddDbl, [ a; c ] ->
                (match const_of a, const_of c with
-                | Some (KDbl x), Some (KDbl y) -> set_const i (KDbl (x +. y))
+                | Some (KDbl x), Some (KDbl y) ->
+                  set_const i (KDbl (Ops.dbl_arith DAdd x y))
                 | _ -> ())
              | CvtIntToDbl, [ a ] ->
                (match const_of a with
@@ -105,11 +95,7 @@ let run (u : t) : int =
              | CmpInt c, [ a; b2 ] ->
                (match const_of a, const_of b2 with
                 | Some (KInt x), Some (KInt y) ->
-                  let v = match c with
-                    | Ceq -> x = y | Cne -> x <> y | Clt -> x < y
-                    | Cle -> x <= y | Cgt -> x > y | Cge -> x >= y
-                  in
-                  set_const i (KBool v)
+                  set_const i (KBool (Ops.cmp_int c x y))
                 | _ -> ())
              | NotBool, [ a ] ->
                (match const_of a with

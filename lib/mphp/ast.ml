@@ -119,6 +119,15 @@ let binop_name = function
   | Lt -> "<" | Lte -> "<=" | Gt -> ">" | Gte -> ">="
   | BitAnd -> "&" | BitOr -> "|" | BitXor -> "^" | Shl -> "<<" | Shr -> ">>"
 
+(** The bytecode operator, whose semantics {!Runtime.Ops} defines. *)
+let vm_binop : binop -> Runtime.Ops.binop = function
+  | Add -> OpAdd | Sub -> OpSub | Mul -> OpMul | Div -> OpDiv | Mod -> OpMod
+  | Concat -> OpConcat
+  | Eq -> OpEq | Neq -> OpNeq | Same -> OpSame | NSame -> OpNSame
+  | Lt -> OpLt | Lte -> OpLte | Gt -> OpGt | Gte -> OpGte
+  | BitAnd -> OpBitAnd | BitOr -> OpBitOr | BitXor -> OpBitXor
+  | Shl -> OpShl | Shr -> OpShr
+
 let rec hint_name = function
   | Hint_int -> "int" | Hint_float -> "float" | Hint_string -> "string"
   | Hint_bool -> "bool" | Hint_array -> "array"

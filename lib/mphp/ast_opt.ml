@@ -6,6 +6,17 @@
 
 open Ast
 
+module Ops = Runtime.Ops
+module V = Runtime.Value
+
+(* A literal as an immediate runtime value.  A string becomes an uncounted
+   cell built here, not on the runtime heap. *)
+let value : expr -> V.value = function
+  | Int i -> VInt i
+  | Dbl d -> VDbl d
+  | Str s -> VStr { rc = V.static_rc; id = 0; data = s }
+  | _ -> invalid_arg "Ast_opt.value"
+
 let rec fold_expr (e : expr) : expr =
   match e with
   | Int _ | Dbl _ | Str _ | Bool _ | Null | Var _ | This -> e
@@ -79,45 +90,29 @@ and fold_lval = function
   | LProp (e, p) -> LProp (fold_expr e, p)
 
 and fold_binop op a b : expr =
-  match op, a, b with
-  | Add, Int x, Int y -> Int (x + y)
-  | Sub, Int x, Int y -> Int (x - y)
-  | Mul, Int x, Int y -> Int (x * y)
-  | Div, Int x, Int y when y <> 0 && x mod y = 0 -> Int (x / y)
-  | Mod, Int x, Int y when y <> 0 -> Int (x mod y)
-  | Add, Dbl x, Dbl y -> Dbl (x +. y)
-  | Sub, Dbl x, Dbl y -> Dbl (x -. y)
-  | Mul, Dbl x, Dbl y -> Dbl (x *. y)
-  | Div, Dbl x, Dbl y when y <> 0.0 -> Dbl (x /. y)
-  | Concat, Str x, Str y -> Str (x ^ y)
-  | Concat, Str x, Int y -> Str (x ^ string_of_int y)
-  | Concat, Int x, Str y -> Str (string_of_int x ^ y)
-  | Eq, Int x, Int y -> Bool (x = y)
-  | Neq, Int x, Int y -> Bool (x <> y)
-  | Same, Int x, Int y -> Bool (x = y)
-  | NSame, Int x, Int y -> Bool (x <> y)
-  | Lt, Int x, Int y -> Bool (x < y)
-  | Lte, Int x, Int y -> Bool (x <= y)
-  | Gt, Int x, Int y -> Bool (x > y)
-  | Gte, Int x, Int y -> Bool (x >= y)
-  | Eq, Str x, Str y -> Bool (x = y)
-  | Same, Str x, Str y -> Bool (x = y)
-  | BitAnd, Int x, Int y -> Int (x land y)
-  | BitOr, Int x, Int y -> Int (x lor y)
-  | BitXor, Int x, Int y -> Int (x lxor y)
-  | Shl, Int x, Int y when y >= 0 && y < 63 -> Int (x lsl y)
-  | Shr, Int x, Int y when y >= 0 && y < 63 -> Int (x asr y)
-  (* algebraic identities that do not change types or effects *)
-  | Add, e, Int 0 | Add, Int 0, e when is_pure_int e -> e
-  | Mul, e, Int 1 | Mul, Int 1, e when is_pure_int e -> e
-  | Concat, e, Str "" | Concat, Str "", e when is_pure_str e -> e
-  | _ -> Binop (op, a, b)
-
-(* Purity/type checks for the identities: only variables can be assumed
-   effect-free; their type must already be evident, which we cannot know
-   here, so restrict to literals (the interesting folds happened above). *)
-and is_pure_int = function Int _ -> true | _ -> false
-and is_pure_str = function Str _ -> true | _ -> false
+  (* Literals fold through the interpreter's own operators
+     ({!Runtime.Ops}).  Only these operand shapes fold; a fold declines
+     where the operator raises, and where an int quotient is inexact. *)
+  let foldable =
+    match op, a, b with
+    | Concat, Int _, Int _ -> false
+    | Concat, (Str _ | Int _), (Str _ | Int _) -> true
+    | _, Int _, Int _ -> true
+    | (Add | Sub | Mul | Div), Dbl _, Dbl _ -> true
+    | (Eq | Same), Str _, Str _ -> true
+    | _ -> false
+  in
+  let folded =
+    if not foldable then None
+    else if op = Concat then Some (Str (Ops.concat (value a) (value b)))
+    else
+      match Ops.fold (Ops.binop_fn (vm_binop op)) (value a) (value b), a with
+      | Some (V.VInt n), _ -> Some (Int n)
+      | Some (V.VBool v), _ -> Some (Bool v)
+      | Some (V.VDbl d), Dbl _ -> Some (Dbl d)
+      | _ -> None
+  in
+  Option.value folded ~default:(Binop (op, a, b))
 
 and fold_unop op a : expr =
   match op, a with

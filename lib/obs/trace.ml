@@ -48,8 +48,6 @@ let enabled_ = Array.make 6 false
 (** Is this category live?  Probes check this before building any fields. *)
 let on (c : category) : bool = enabled_.(idx c)
 
-let any_on () = Array.exists (fun b -> b) enabled_
-
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
 (* ------------------------------------------------------------------ *)

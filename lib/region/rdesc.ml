@@ -84,9 +84,6 @@ let find_block (r : t) (id : int) : block =
 let succs (r : t) (id : int) : int list =
   List.filter_map (fun (s, d) -> if s = id then Some d else None) r.r_arcs
 
-let num_instrs (r : t) : int =
-  List.fold_left (fun acc b -> acc + b.b_len) 0 r.r_blocks
-
 let block_to_string ?func (b : block) : string =
   let buf = Buffer.create 128 in
   Buffer.add_string buf

@@ -64,6 +64,5 @@ type t = {
 val entry : t -> block
 val find_block : t -> int -> block
 val succs : t -> int -> int list
-val num_instrs : t -> int
 val block_to_string : ?func:Hhbc.Instr.func -> block -> string
 val to_string : ?func:Hhbc.Instr.func -> t -> string

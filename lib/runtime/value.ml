@@ -85,16 +85,6 @@ let tag_name = function
   | TUninit -> "Uninit" | TNull -> "Null" | TBool -> "Bool" | TInt -> "Int"
   | TDbl -> "Dbl" | TStr -> "Str" | TArr -> "Arr" | TObj -> "Obj"
 
-(** Whether values of this tag are reference counted. *)
-let tag_counted = function
-  | TStr | TArr | TObj -> true
-  | TUninit | TNull | TBool | TInt | TDbl -> false
-
-let is_counted = function
-  | VStr s -> s.rc <> static_rc
-  | VArr _ | VObj _ -> true
-  | _ -> false
-
 (** PHP truthiness. *)
 let truthy = function
   | VUninit | VNull -> false
@@ -174,66 +164,3 @@ and debug_string v =
     Buffer.add_char buf ']';
     Buffer.contents buf
   | VObj o -> Printf.sprintf "object#%d(cls=%d)" o.id o.data.cls
-
-(** Loose equality ([==]).  Numeric values compare numerically across
-    int/double; strings compare as strings; arrays compare structurally;
-    objects by identity.  We do not implement PHP's string-to-number
-    juggling for [==] — strings only equal strings. *)
-let rec loose_eq a b =
-  match a, b with
-  | (VNull | VUninit), (VNull | VUninit) -> true
-  | VBool x, VBool y -> x = y
-  | VBool _, _ | _, VBool _ -> truthy a = truthy b
-  | VInt x, VInt y -> x = y
-  | VInt x, VDbl y | VDbl y, VInt x -> float_of_int x = y
-  | VDbl x, VDbl y -> x = y
-  | VStr x, VStr y -> x.data = y.data
-  | VArr x, VArr y -> arr_eq x.data y.data
-  | VObj x, VObj y -> x.id = y.id
-  | _ -> false
-
-and arr_eq x y =
-  x.count = y.count
-  && begin
-    let ok = ref true in
-    for i = 0 to x.count - 1 do
-      let kx, vx = x.entries.(i) and ky, vy = y.entries.(i) in
-      if kx <> ky || not (loose_eq vx vy) then ok := false
-    done;
-    !ok
-  end
-
-(** Strict equality ([===]): same type and same value (objects: identity). *)
-let rec strict_eq a b =
-  match a, b with
-  | VNull, VNull -> true
-  | VBool x, VBool y -> x = y
-  | VInt x, VInt y -> x = y
-  | VDbl x, VDbl y -> x = y
-  | VStr x, VStr y -> x.data = y.data
-  | VObj x, VObj y -> x.id = y.id
-  | VArr x, VArr y ->
-    x.data.count = y.data.count
-    && begin
-      let ok = ref true in
-      for i = 0 to x.data.count - 1 do
-        let kx, vx = x.data.entries.(i) and ky, vy = y.data.entries.(i) in
-        if kx <> ky || not (strict_eq vx vy) then ok := false
-      done;
-      !ok
-    end
-  | _ -> false
-
-(** Relational comparison; defined on numbers and strings.  The arms use
-    the monomorphic comparison primitives — same ordering as the generic
-    [compare], without the polymorphic-compare call on the hot int/int
-    shape. *)
-let compare_vals a b =
-  match a, b with
-  | VInt x, VInt y -> if x < y then -1 else if x > y then 1 else 0
-  | VStr x, VStr y -> String.compare x.data y.data
-  | (VInt _ | VDbl _ | VBool _ | VNull), (VInt _ | VDbl _ | VBool _ | VNull) ->
-    Float.compare (to_dbl_val a) (to_dbl_val b)
-  | _ ->
-    fatal "unsupported comparison between %s and %s"
-      (tag_name (tag_of_value a)) (tag_name (tag_of_value b))

@@ -19,9 +19,6 @@ let c_reclaimed = Obs.Vmstats.counter "codecache.reclaimed_bytes"
 let g_holes = Obs.Vmstats.gauge "codecache.holes_bytes"
 let g_holes_peak = Obs.Vmstats.gauge "codecache.holes_peak_bytes"
 
-let section_name = function
-  | Main -> "a" | Cold -> "acold" | Prof -> "aprof" | Live -> "alive"
-
 (* Disjoint address ranges per section. *)
 let base_of = function
   | Main -> 0x1_000_000

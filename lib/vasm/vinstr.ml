@@ -11,7 +11,9 @@
 
 type cmp = Hhir.Ir.cmp
 
-type aop = Add | Sub | Mul | Div | Mod | And | Or | Xor | Shl | Shr
+(* Arithmetic operators, with their semantics in {!Runtime.Ops}. *)
+type iop = Runtime.Ops.iop = Add | Sub | Mul | Mod | And | Or | Xor | Shl | Shr
+type dop = Runtime.Ops.dop = DAdd | DSub | DMul | DDiv
 
 (** Runtime helpers: out-of-line routines implemented by the engine. *)
 type helper =
@@ -57,8 +59,8 @@ type helper =
 type 'r t =
   | VImm of 'r * Runtime.Value.value
   | VMov of 'r * 'r
-  | VArithI of aop * 'r * 'r * 'r
-  | VArithD of aop * 'r * 'r * 'r
+  | VArithI of iop * 'r * 'r * 'r
+  | VArithD of dop * 'r * 'r * 'r
   | VNegI of 'r * 'r
   | VNegD of 'r * 'r
   | VNotB of 'r * 'r
@@ -238,10 +240,9 @@ let cycles (i : 'r t) : int =
   | VImm _ | VMov _ | VNop -> 1
   | VArithI ((Add | Sub | And | Or | Xor | Shl | Shr), _, _, _) -> 1
   | VArithI (Mul, _, _, _) -> 3
-  | VArithI ((Div | Mod), _, _, _) -> 20
-  | VArithD ((Add | Sub | Mul), _, _, _) -> 3
-  | VArithD (Div, _, _, _) -> 12
-  | VArithD _ -> 6
+  | VArithI (Mod, _, _, _) -> 20
+  | VArithD ((DAdd | DSub | DMul), _, _, _) -> 3
+  | VArithD (DDiv, _, _, _) -> 12
   | VNegI _ | VNotB _ -> 1
   | VNegD _ -> 2
   | VCvtID _ -> 3

@@ -71,10 +71,10 @@ let lower (u : Hhir.Ir.t) ~(weights : (int, int) Hashtbl.t) : int prog =
     | ShrInt -> [ VArithI (Shr, d (), a 0, a 1) ]
     | NegInt -> [ VNegI (d (), a 0) ]
     | NotBool -> [ VNotB (d (), a 0) ]
-    | AddDbl -> [ VArithD (Add, d (), a 0, a 1) ]
-    | SubDbl -> [ VArithD (Sub, d (), a 0, a 1) ]
-    | MulDbl -> [ VArithD (Mul, d (), a 0, a 1) ]
-    | DivDbl -> [ VArithD (Div, d (), a 0, a 1) ]
+    | AddDbl -> [ VArithD (DAdd, d (), a 0, a 1) ]
+    | SubDbl -> [ VArithD (DSub, d (), a 0, a 1) ]
+    | MulDbl -> [ VArithD (DMul, d (), a 0, a 1) ]
+    | DivDbl -> [ VArithD (DDiv, d (), a 0, a 1) ]
     | NegDbl -> [ VNegD (d (), a 0) ]
     | CvtIntToDbl -> [ VCvtID (d (), a 0) ]
     | CmpInt c -> [ VCmpI (c, d (), a 0, a 1) ]

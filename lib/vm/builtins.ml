@@ -127,24 +127,24 @@ let call (name : string) (args : value array) : value =
      | [| VArr a |] ->
        if a.data.count = 0 then fatal "max of empty array";
        let best = ref (snd a.data.entries.(0)) in
-       Runtime.Varray.iter (fun _ v -> if compare_vals v !best > 0 then best := v) a.data;
+       Runtime.Varray.iter (fun _ v -> if Runtime.Ops.compare_vals v !best > 0 then best := v) a.data;
        Runtime.Heap.incref !best; !best
      | _ ->
        if Array.length args = 0 then fatal "max of nothing";
        let best = ref args.(0) in
-       Array.iter (fun v -> if compare_vals v !best > 0 then best := v) args;
+       Array.iter (fun v -> if Runtime.Ops.compare_vals v !best > 0 then best := v) args;
        Runtime.Heap.incref !best; !best)
   | "min" ->
     (match args with
      | [| VArr a |] ->
        if a.data.count = 0 then fatal "min of empty array";
        let best = ref (snd a.data.entries.(0)) in
-       Runtime.Varray.iter (fun _ v -> if compare_vals v !best < 0 then best := v) a.data;
+       Runtime.Varray.iter (fun _ v -> if Runtime.Ops.compare_vals v !best < 0 then best := v) a.data;
        Runtime.Heap.incref !best; !best
      | _ ->
        if Array.length args = 0 then fatal "min of nothing";
        let best = ref args.(0) in
-       Array.iter (fun v -> if compare_vals v !best < 0 then best := v) args;
+       Array.iter (fun v -> if Runtime.Ops.compare_vals v !best < 0 then best := v) args;
        Runtime.Heap.incref !best; !best)
   | "intdiv" ->
     let a = to_int_val (a0 ()) and b = to_int_val (a1 ()) in
@@ -214,7 +214,7 @@ let call (name : string) (args : value array) : value =
     let needle = a0 () in
     let a = need_arr "in_array" (a1 ()) in
     let found = ref false in
-    Runtime.Varray.iter (fun _ v -> if loose_eq v needle then found := true) a.data;
+    Runtime.Varray.iter (fun _ v -> if Runtime.Ops.loose_eq v needle then found := true) a.data;
     VBool !found
   | "array_key_exists" ->
     let k = Runtime.Varray.key_of_value (a0 ()) in
@@ -225,7 +225,7 @@ let call (name : string) (args : value array) : value =
        array is returned instead of mutated in place *)
     let a = need_arr "sorted" (a0 ()) in
     let vs = Runtime.Varray.values a.data in
-    let vs = List.stable_sort compare_vals vs in
+    let vs = List.stable_sort Runtime.Ops.compare_vals vs in
     let node = Runtime.Varray.of_values vs in
     VArr node
   | "mt_rand" | "rand" ->

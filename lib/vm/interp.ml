@@ -163,137 +163,6 @@ let top (fr : frame) : value = fr.stack.(fr.sp - 1)
 let is_uninit (v : value) = match v with VUninit -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Operator semantics (shared with JIT helpers)                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The int/int fast paths below skip [to_num]'s polymorphic-variant
-   boxing (two short-lived allocations per arithmetic op otherwise), and
-   draw small results from a preallocated table — VInt is immutable and
-   uncounted, so sharing cells is invisible to programs and to the
-   refcount ledger, in either dispatch mode. *)
-
-let small_ints : value array = Array.init 512 (fun i -> VInt (i - 256))
-
-let vint (n : int) : value =
-  if n >= -256 && n < 256 then Array.unsafe_get small_ints (n + 256)
-  else VInt n
-
-let arith_add a b =
-  match a, b with
-  | VInt x, VInt y -> vint (x + y)
-  | _ ->
-    (match to_num a, to_num b with
-     | `I x, `I y -> VInt (x + y)
-     | `I x, `D y -> VDbl (float_of_int x +. y)
-     | `D x, `I y -> VDbl (x +. float_of_int y)
-     | `D x, `D y -> VDbl (x +. y))
-
-let arith_sub a b =
-  match a, b with
-  | VInt x, VInt y -> vint (x - y)
-  | _ ->
-    (match to_num a, to_num b with
-     | `I x, `I y -> VInt (x - y)
-     | `I x, `D y -> VDbl (float_of_int x -. y)
-     | `D x, `I y -> VDbl (x -. float_of_int y)
-     | `D x, `D y -> VDbl (x -. y))
-
-let arith_mul a b =
-  match a, b with
-  | VInt x, VInt y -> vint (x * y)
-  | _ ->
-    (match to_num a, to_num b with
-     | `I x, `I y -> VInt (x * y)
-     | `I x, `D y -> VDbl (float_of_int x *. y)
-     | `D x, `I y -> VDbl (x *. float_of_int y)
-     | `D x, `D y -> VDbl (x *. y))
-
-let arith_div a b =
-  match to_num a, to_num b with
-  | _, `I 0 -> fatal "division by zero"
-  | _, `D 0.0 -> fatal "division by zero"
-  | `I x, `I y -> if x mod y = 0 then VInt (x / y) else VDbl (float_of_int x /. float_of_int y)
-  | `I x, `D y -> VDbl (float_of_int x /. y)
-  | `D x, `I y -> VDbl (x /. float_of_int y)
-  | `D x, `D y -> VDbl (x /. y)
-
-let arith_mod a b =
-  let x = to_int_val a and y = to_int_val b in
-  if y = 0 then fatal "modulo by zero";
-  VInt (x mod y)
-
-(* Preallocated boolean results: VBool is immutable and uncounted, so
-   every comparison can return the same two cells.  Shared by both
-   dispatch modes and the JIT helpers — structurally identical values
-   either way. *)
-let vtrue = VBool true
-let vfalse = VBool false
-let vbool b = if b then vtrue else vfalse
-
-(** Apply a binary operator; returns an owned result.  Operands borrowed. *)
-let binop_apply (op : binop) (a : value) (b : value) : value =
-  match op with
-  | OpAdd -> arith_add a b
-  | OpSub -> arith_sub a b
-  | OpMul -> arith_mul a b
-  | OpDiv -> arith_div a b
-  | OpMod -> arith_mod a b
-  | OpConcat ->
-    (* returns an owned counted string (rc = 1) *)
-    Runtime.Heap.new_str (to_string_val a ^ to_string_val b)
-  | OpEq -> vbool (loose_eq a b)
-  | OpNeq -> vbool (not (loose_eq a b))
-  | OpSame -> vbool (strict_eq a b)
-  | OpNSame -> vbool (not (strict_eq a b))
-  | OpLt -> vbool (compare_vals a b < 0)
-  | OpLte -> vbool (compare_vals a b <= 0)
-  | OpGt -> vbool (compare_vals a b > 0)
-  | OpGte -> vbool (compare_vals a b >= 0)
-  | OpBitAnd -> VInt (to_int_val a land to_int_val b)
-  | OpBitOr -> VInt (to_int_val a lor to_int_val b)
-  | OpBitXor -> VInt (to_int_val a lxor to_int_val b)
-  | OpShl -> VInt (to_int_val a lsl (to_int_val b land 63))
-  | OpShr -> VInt (to_int_val a asr (to_int_val b land 63))
-
-(** Resolve a binary operator to its semantic function once — the
-    flatten-time form of operand pre-resolution.  [binop_apply] keeps the
-    per-call match for the JIT helpers; both routes compute identical
-    values. *)
-let binop_fn (op : binop) : value -> value -> value =
-  match op with
-  | OpAdd -> arith_add
-  | OpSub -> arith_sub
-  | OpMul -> arith_mul
-  | OpDiv -> arith_div
-  | OpMod -> arith_mod
-  | OpConcat ->
-    fun a b -> Runtime.Heap.new_str (to_string_val a ^ to_string_val b)
-  | OpEq -> fun a b -> vbool (loose_eq a b)
-  | OpNeq -> fun a b -> vbool (not (loose_eq a b))
-  | OpSame -> fun a b -> vbool (strict_eq a b)
-  | OpNSame -> fun a b -> vbool (not (strict_eq a b))
-  | OpLt -> fun a b -> vbool (compare_vals a b < 0)
-  | OpLte -> fun a b -> vbool (compare_vals a b <= 0)
-  | OpGt -> fun a b -> vbool (compare_vals a b > 0)
-  | OpGte -> fun a b -> vbool (compare_vals a b >= 0)
-  | OpBitAnd -> fun a b -> VInt (to_int_val a land to_int_val b)
-  | OpBitOr -> fun a b -> VInt (to_int_val a lor to_int_val b)
-  | OpBitXor -> fun a b -> VInt (to_int_val a lxor to_int_val b)
-  | OpShl -> fun a b -> VInt (to_int_val a lsl (to_int_val b land 63))
-  | OpShr -> fun a b -> VInt (to_int_val a asr (to_int_val b land 63))
-
-let incdec_apply (op : incdec_op) (old : value) : value (* new *) * value (* result *) =
-  let nv =
-    match old with
-    | VInt i -> VInt (i + (match op with PostInc | PreInc -> 1 | _ -> -1))
-    | VDbl d -> VDbl (d +. (match op with PostInc | PreInc -> 1.0 | _ -> -1.0))
-    | VNull -> (match op with PostInc | PreInc -> VInt 1 | _ -> VNull)
-    | _ -> fatal "cannot increment/decrement %s" (tag_name (tag_of_value old))
-  in
-  let result = match op with PostInc | PostDec -> old | _ -> nv in
-  (nv, result)
-
-(* ------------------------------------------------------------------ *)
 (* Frame setup and teardown                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -655,7 +524,7 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let old = fr.locals.(l) in
       let old = if is_uninit old then VNull else old in
-      let nv, result = incdec_apply op old in
+      let nv, result = Runtime.Ops.incdec op old in
       fr.locals.(l) <- nv;
       push fr result;
       next
@@ -672,7 +541,7 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
       Runtime.Heap.decref old;
       next
   | Binop op ->
-    let bf = binop_fn op in
+    let bf = Runtime.Ops.binop_fn op in
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let b = pop fr in
       let a = pop fr in
@@ -950,7 +819,7 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
          (match Runtime.Vclass.prop_slot c p with
           | Some slot ->
             let old = o.data.props.(slot) in
-            let nv, result = incdec_apply op old in
+            let nv, result = Runtime.Ops.incdec op old in
             o.data.props.(slot) <- nv;
             push fr result;
             Runtime.Heap.decref base;

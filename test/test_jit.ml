@@ -232,6 +232,38 @@ let programs = [
       foreach ($words as $w) { $t .= strtoupper(substr($w, 0, 1)); }
       echo $t, "/", count($words), "/", implode("-", array_reverse($words));
     } |});
+  (* double == and === are IEEE in every tier: NaN equals nothing *)
+  ("nan equality", {|
+    function main() {
+      $inf = 1e300 * 1e300;
+      $nan = $inf - $inf;
+      $eq = 0; $same = 0; $ne = 0;
+      for ($i = 0; $i < 50; $i++) {
+        if ($nan == $nan) { $eq++; }
+        if ($nan === $nan) { $same++; }
+        if ($nan != $nan) { $ne++; }
+      }
+      echo $eq, " ", $same, " ", $ne;
+    } |});
+  (* a Str-typed call joins the Dbl-typed region head through an arc into
+     another block of the same chain; the head must not elide its guards *)
+  ("mixed-type compare chain", {|
+    function g($x, $y) {
+      $s = "";
+      if ($x < $y) { $s .= "lt"; }
+      if ($x <= $y) { $s .= "le"; }
+      if ($x == $y) { $s .= "eq"; }
+      if ($x === $y) { $s .= "same"; }
+      if ($x > $y) { $s .= "gt"; }
+      return $s . ";";
+    }
+    function main() {
+      $out = "";
+      for ($i = 0; $i < 30; $i++) {
+        $out = g(5.0, 1.0) . g(1.0, 5.0) . g("a", "b");
+      }
+      echo $out;
+    } |});
 ]
 
 let tests = List.map (fun (n, s) -> differential n s) programs

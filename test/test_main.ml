@@ -2,6 +2,7 @@ let () =
   Alcotest.run "hhvm_jit"
     [
       Test_runtime.suite;
+      Test_ops.suite;
       Test_frontend.suite;
       Test_interp.suite;
       Test_hhbbc.suite;

@@ -19,10 +19,10 @@ let value_tests = [
       Alcotest.(check bool) "null falsy" false (truthy VNull));
   t "loose vs strict equality" (fun () ->
       let open Value in
-      Alcotest.(check bool) "1 == 1.0" true (loose_eq (VInt 1) (VDbl 1.0));
-      Alcotest.(check bool) "1 === 1.0 is false" false (strict_eq (VInt 1) (VDbl 1.0));
-      Alcotest.(check bool) "null == false" true (loose_eq VNull (VBool false));
-      Alcotest.(check bool) "null === false is false" false (strict_eq VNull (VBool false)));
+      Alcotest.(check bool) "1 == 1.0" true (Ops.loose_eq (VInt 1) (VDbl 1.0));
+      Alcotest.(check bool) "1 === 1.0 is false" false (Ops.strict_eq (VInt 1) (VDbl 1.0));
+      Alcotest.(check bool) "null == false" true (Ops.loose_eq VNull (VBool false));
+      Alcotest.(check bool) "null === false is false" false (Ops.strict_eq VNull (VBool false)));
   t "to_string formatting" (fun () ->
       let open Value in
       Alcotest.(check string) "int" "42" (to_string_val (VInt 42));
