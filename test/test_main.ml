@@ -16,4 +16,5 @@ let () =
       Test_spans.suite;
       Test_threaded.suite;
       Test_jumpstart.suite;
+      Test_paper.suite;
     ]
