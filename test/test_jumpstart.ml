@@ -98,7 +98,7 @@ let test_cross_worker_restore () =
         Server.Startup.serve_measured r.Server.Startup.rs_unit eng
           ~total:40 ~retranslate_at:None
       in
-      let u2 = Server.Startup.load_unit () in
+      let u2 = Server.Serving.load_unit () in
       let o2 = opts_with ~jw:1 ~rw:1 () in
       o2.Core.Jit_options.mode <- Core.Jit_options.Interp;
       let eng2 = Core.Engine.install ~opts:o2 u2 in
@@ -122,8 +122,9 @@ let test_compacted_cache_restore () =
       let opts = opts_with ~jw:1 ~rw:1 () in
       opts.Core.Jit_options.tc_evict_threshold <- 3;
       opts.Core.Jit_options.tc_compact <- true;
-      let eng, u =
-        Server.Startup.warm ~opts ~trigger_requests:trigger () in
+      let u, eng =
+        Server.Serving.bring_up ~opts
+          ~warmup:(Server.Startup.stream trigger) () in
       for salt = 1 to 12 do
         ignore
           (Server.Serving.run ~workers:1 u eng
@@ -155,7 +156,7 @@ let test_compacted_cache_restore () =
         Server.Startup.serve_measured r.Server.Startup.rs_unit eng2
           ~total:40 ~retranslate_at:None
       in
-      let u3 = Server.Startup.load_unit () in
+      let u3 = Server.Serving.load_unit () in
       let o3 = opts_with ~jw:1 ~rw:1 () in
       o3.Core.Jit_options.mode <- Core.Jit_options.Interp;
       let eng3 = Core.Engine.install ~opts:o3 u3 in
@@ -260,7 +261,7 @@ let test_options_mismatch () =
 
 let test_load_never_raises_on_junk () =
   (* a battery of malformed byte strings straight into the codec *)
-  let u = Server.Startup.load_unit () in
+  let u = Server.Serving.load_unit () in
   let digest = Core.Jumpstart.unit_digest u (Core.Jit_options.default ()) in
   List.iteri
     (fun i junk ->

@@ -74,12 +74,26 @@ let test_perflab_determinism () =
          (Printf.sprintf "perflab tc-print @ %d workers" w) tc1 tc)
     (List.tl runs)
 
+(* [rounds] passes over the endpoint list, one request per endpoint per
+   pass; endpoint [i] takes [arg ~round i] in pass [round] (from 1). *)
+let each_endpoint ~(rounds : int) (arg : round:int -> int -> int)
+  : Server.Serving.request array =
+  Array.concat
+    (List.init rounds (fun r ->
+         Array.of_list
+           (List.mapi
+              (fun i ep ->
+                 { Server.Serving.rq_ep = ep; rq_arg = arg ~round:(r + 1) i })
+              Workloads.Endpoints.endpoints)))
+
+(* The steady-state warmup of the serving tests: ten passes, every
+   endpoint profiled. *)
+let warmup_passes = each_endpoint ~rounds:10 (fun ~round i -> round * 3 + i)
+
 (* Direct endpoints workload: warm every endpoint, retranslate, keep
    serving; returns the full output transcript plus cache/tc-print state. *)
 let endpoints_run ?(trace = false) (w : int) : string * int * string =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
+  let u = Server.Serving.load_unit () in
   let opts = Core.Jit_options.default () in
   opts.Core.Jit_options.mode <- Core.Jit_options.Region;
   opts.Core.Jit_options.jit_workers <- w;
@@ -88,13 +102,10 @@ let endpoints_run ?(trace = false) (w : int) : string * int * string =
   let eng = Core.Engine.install ~opts u in
   let buf = Buffer.create 4096 in
   let serve rounds salt =
-    for k = 1 to rounds do
-      List.iteri
-        (fun i ep ->
-           Buffer.add_string buf
-             (Server.Perflab.call_endpoint u ep (salt + i + k)))
-        Workloads.Endpoints.endpoints
-    done
+    Array.iter (Buffer.add_string buf)
+      (Server.Serving.run ~workers:1 u eng
+         (each_endpoint ~rounds (fun ~round i -> salt + i + round)))
+        .Server.Serving.sv_outputs
   in
   serve 30 0;
   ignore (Core.Engine.retranslate_all eng);
@@ -163,22 +174,17 @@ let test_stress_interleave () =
   let interp_out = ref "" in
   let region_out = ref "" in
   let run_mode (mode : Core.Jit_options.mode) (sink : string ref) =
-    let u = Vm.Loader.load Workloads.Endpoints.source in
-    ignore (Hhbbc.Assert_insert.run u);
-    ignore (Hhbbc.Bc_opt.run u);
+    let u = Server.Serving.load_unit () in
     let opts = Core.Jit_options.default () in
     opts.Core.Jit_options.mode <- mode;
     opts.Core.Jit_options.jit_workers <- 4;
     let eng = Core.Engine.install ~opts u in
     let buf = Buffer.create 4096 in
     for round = 1 to 6 do
-      for k = 1 to 12 do
-        List.iteri
-          (fun i ep ->
-             Buffer.add_string buf
-               (Server.Perflab.call_endpoint u ep (round * 31 + i + k)))
-          Workloads.Endpoints.endpoints
-      done;
+      Array.iter (Buffer.add_string buf)
+        (Server.Serving.run ~workers:1 u eng
+           (each_endpoint ~rounds:12 (fun ~round:k i -> round * 31 + i + k)))
+          .Server.Serving.sv_outputs;
       (* trigger retranslate mid-traffic, repeatedly: exercises the sort
          cache, link invalidation, and re-publication under churn *)
       if mode = Core.Jit_options.Region then
@@ -198,23 +204,12 @@ let test_stress_interleave () =
    (Region mode) — the steady state a production server serves from. *)
 let serving_engine ?budget ?(mode = Core.Jit_options.Region) ()
   : Hhbc.Hunit.t * Core.Engine.t =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
   let opts = Core.Jit_options.default () in
   opts.Core.Jit_options.mode <- mode;
   (match budget with
    | Some b -> opts.Core.Jit_options.code_budget <- Some b
    | None -> ());
-  let eng = Core.Engine.install ~opts u in
-  for round = 1 to 10 do
-    List.iteri
-      (fun i ep -> ignore (Server.Perflab.call_endpoint u ep (round * 3 + i)))
-      Workloads.Endpoints.endpoints
-  done;
-  if mode = Core.Jit_options.Region then
-    ignore (Core.Engine.retranslate_all eng);
-  (u, eng)
+  Server.Serving.bring_up ~opts ~warmup:warmup_passes ()
 
 (* One serving burst on a fresh engine.  [trigger_at] fires a full
    retranslate-all on whichever domain completes that many requests. *)
@@ -307,9 +302,7 @@ let test_serving_heap_clean () =
 (* Cold Region-mode engine: no warmup, so every endpoint's entry srckey
    misses on first touch inside the burst itself. *)
 let cold_engine () : Hhbc.Hunit.t * Core.Engine.t =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
+  let u = Server.Serving.load_unit () in
   let opts = Core.Jit_options.default () in
   opts.Core.Jit_options.mode <- Core.Jit_options.Region;
   (u, Core.Engine.install ~opts u)
@@ -460,21 +453,12 @@ let test_publish_epoch_rows () =
    threshold, then a final shifted burst fires one more lifecycle tick
    (evict + compact) mid-burst on whichever domain crosses halfway. *)
 let lifecycle_run (workers : int) : Server.Serving.result * Core.Engine.t =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
   let opts = Core.Jit_options.default () in
   opts.Core.Jit_options.mode <- Core.Jit_options.Region;
   opts.Core.Jit_options.request_workers <- workers;
   opts.Core.Jit_options.tc_evict_threshold <- 3;
   opts.Core.Jit_options.tc_compact <- true;
-  let eng = Core.Engine.install ~opts u in
-  for round = 1 to 10 do
-    List.iteri
-      (fun i ep -> ignore (Server.Perflab.call_endpoint u ep (round * 3 + i)))
-      Workloads.Endpoints.endpoints
-  done;
-  ignore (Core.Engine.retranslate_all eng);
+  let u, eng = Server.Serving.bring_up ~opts ~warmup:warmup_passes () in
   for salt = 1 to 12 do
     ignore
       (Server.Serving.run ~workers u eng

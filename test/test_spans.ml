@@ -20,9 +20,6 @@
    bursts exercise the miss-enqueue / lease-wait phases. *)
 let warmed_engine ?(jit_workers = 1) ?(request_workers = 1)
     ?(trace : string option) () : Hhbc.Hunit.t * Core.Engine.t =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
   let opts = Core.Jit_options.default () in
   opts.Core.Jit_options.jit_workers <- jit_workers;
   opts.Core.Jit_options.request_workers <- request_workers;
@@ -30,18 +27,8 @@ let warmed_engine ?(jit_workers = 1) ?(request_workers = 1)
   (match trace with
    | Some s -> opts.Core.Jit_options.trace <- Some s
    | None -> ());
-  let eng = Core.Engine.install ~opts u in
-  for round = 0 to 14 do
-    List.iter
-      (fun (ep : Workloads.Endpoints.endpoint) ->
-         let reps = max 1 (ep.Workloads.Endpoints.ep_weight / 10) in
-         for k = 0 to reps - 1 do
-           ignore (Server.Perflab.call_endpoint u ep (round * 3 + k))
-         done)
-      Workloads.Endpoints.endpoints
-  done;
-  ignore (Core.Engine.retranslate_all eng);
-  (u, eng)
+  Server.Serving.bring_up ~opts
+    ~warmup:(Server.Serving.mix ~base:0 ~rounds:15 ()) ()
 
 (* First integer after ["<key>": ] in a one-line JSON record. *)
 let field_int (line : string) (key : string) : int =
