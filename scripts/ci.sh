@@ -7,23 +7,20 @@
 #      checks random programs 1..2000 (interp vs tracelet vs region,
 #      before and after retranslate-all; exits nonzero on any mismatch,
 #      leak or fatal),
-#   4. cross-mode differential: `bench/main.exe fig8` runs the full
-#      perflab in Interp, Tracelet, ProfileOnly and Region modes and
-#      exits nonzero when any mode's output hash differs,
-#   5. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
+#   4. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
 #      env path through a multi-domain perflab serving burst, and the
 #      combined JIT_WORKERS=4 REQUEST_WORKERS=4 `bench/main.exe serving`
 #      sweep exits nonzero when per-request outputs diverge across any
 #      (jit x request) worker configuration,
-#   6. parallel retranslate-all: `bench/main.exe retranslate` sweeps
+#   5. parallel retranslate-all: `bench/main.exe retranslate` sweeps
 #      --jit-workers {1,2,4} and exits nonzero when output hashes or
 #      code-cache byte totals diverge across worker counts,
-#   7. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
+#   6. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
 #      process, `hhvm_run serve --jumpstart` adopts it in a fresh one,
 #      and the jumpstarted run must serve with ZERO profiling
 #      translations and ZERO retranslate-alls while its output hash is
 #      bit-identical to the cold-started run's,
-#   8. tc-lifecycle smoke: `bench/main.exe tc_lifecycle` runs the
+#   7. tc-lifecycle smoke: `bench/main.exe tc_lifecycle` runs the
 #      mix-shift scenario at JIT_WORKERS=4 REQUEST_WORKERS=4 — warm on
 #      one endpoint mix, shift the mix, decay/evict/compact — and exits
 #      nonzero when nothing was evicted, on hash instability across
@@ -31,11 +28,12 @@
 #      divergence across (jit x request) worker configs; the CLI env
 #      path (`serve` with TC_EVICT_THRESHOLD/TC_COMPACT) must evict yet
 #      hash-match a plain cold serve,
-#   9. interpreter-regression gate: `bench/main.exe micro` exits nonzero
+#   8. interpreter-regression gate: `bench/main.exe micro` exits nonzero
 #      when `pipeline/interp fib(12)` is above 130us (min of batches).
 # The serving-report keys and profile sum, the startup cold-vs-jumpstart
-# invariants and the lifecycle parity invariants are tier-1 tests
-# (test_spans, test_jumpstart, test_parallel).
+# invariants, the lifecycle parity invariants and the cross-mode output
+# hash check (Interp/Tracelet/Profile/Region perflab) are tier-1 tests
+# (test_spans, test_jumpstart, test_parallel, test_paper).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,9 +50,6 @@ dune runtest
 
 echo "== differential fuzz (seeds 1-2000) =="
 dune exec test/dbg_seeds.exe -- 1 2000
-
-echo "== cross-mode differential (fig8: Interp/Tracelet/Profile/Region) =="
-dune exec bench/main.exe -- fig8
 
 echo "== parallel serving smoke (4 request workers) =="
 REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- --perflab
