@@ -12,11 +12,10 @@
         hhvm_run serve --jumpstart warm.img       # skip the warmup cliff
         hhvm_run warmup --dump warm.img           # write a jumpstart image
         hhvm_run report --serving-report out.json # telemetry-focused mix run
+        hhvm_run report --request-workers 4       # + a parallel serving burst
 
     Legacy flat invocations keep working through the implicit default:
 
-        hhvm_run --perflab --request-workers 4
-        hhvm_run --vmstats=json --perflab
         hhvm_run --trace link,exit --trace-out t.trace.jsonl prog.mphp
 
     Option resolution is consolidated in [Core.Jit_options]: flags set
@@ -249,10 +248,10 @@ let report_telemetry (engine : Core.Engine.t) (te : telemetry) : unit =
   Obs.Snapshot.close ()
 
 (* ------------------------------------------------------------------ *)
-(* run (default): execute a source file, or the legacy --perflab mix   *)
+(* report: telemetry-focused perflab mix run                           *)
 (* ------------------------------------------------------------------ *)
 
-let perflab_run (opts : Core.Jit_options.t) (te : telemetry)
+let report (opts : Core.Jit_options.t) (te : telemetry)
     (serving_report : string option) (profile_folded : string option) =
   (* replay the Perflab endpoint mix instead of a source file: the
      standard workload for inspecting steady-state JIT telemetry *)
@@ -331,98 +330,103 @@ let perflab_run (opts : Core.Jit_options.t) (te : telemetry)
   end;
   report_telemetry eng te
 
-let run opts te file entry dump_bc dump_regions stats repeat perflab
-    serving_report profile_folded =
+let report_term =
+  let serving_report =
+    Arg.(value & opt (some string) None
+         & info [ "serving-report" ] ~docv:"FILE"
+           ~doc:"Run the deterministic measured serving burst and write \
+                 the JSON latency report (p50/p95/p99/max weighted cycles \
+                 per request, per-phase breakdown, per-endpoint \
+                 percentiles).  Byte-identical for any \
+                 --jit-workers x --request-workers configuration")
+  in
+  let profile_folded =
+    Arg.(value & opt (some string) None
+         & info [ "profile-folded" ] ~docv:"FILE"
+           ~doc:"Write the measured burst's cycle attribution as folded \
+                 stacks (flamegraph.pl-compatible)")
+  in
+  Term.(const report $ opts_term $ telemetry_term $ serving_report
+        $ profile_folded)
+
+(* ------------------------------------------------------------------ *)
+(* run (default): execute a source file                                *)
+(* ------------------------------------------------------------------ *)
+
+let run opts te file entry dump_bc dump_regions stats repeat =
   if repeat < 1 then usage_error "--repeat must be at least 1 (got %d)" repeat;
-  if dump_bc && perflab then
-    usage_error
-      "--dump-bc and --perflab are mutually inconsistent (no source file \
-       is compiled under --perflab)";
-  if perflab then perflab_run opts te serving_report profile_folded
-  else begin
-    if serving_report <> None || profile_folded <> None then
-      usage_error
-        "--serving-report/--profile-folded require --perflab (or the \
-         'report' subcommand)";
-    let file =
-      match file with
-      | Some f -> f
-      | None -> usage_error "FILE required unless --perflab is given"
-    in
-    let src = read_file file in
-    let unit_ = Vm.Loader.load src in
-    ignore (Hhbbc.Assert_insert.run unit_);
-    ignore (Hhbbc.Bc_opt.run unit_);
-    if dump_bc then begin
-      print_string (Hhbc.Disasm.unit_to_string unit_);
-      exit 0
-    end;
-    let engine = Core.Engine.install ~opts unit_ in
-    let call () =
-      match Hhbc.Hunit.find_func unit_ entry with
-      | None ->
-        Printf.eprintf "error: function %s not found\n" entry;
-        exit 1
-      | Some _ ->
-        let r, out =
-          Vm.Output.capture (fun () -> Vm.Interp.call_by_name unit_ entry [])
-        in
-        Runtime.Heap.decref r;
-        print_string out
-    in
-    (try
-       for i = 1 to repeat do
-         call ();
-         if opts.mode = Core.Jit_options.Region && i = max 1 (repeat / 2)
-         then ignore (Core.Engine.retranslate_all engine)
-       done
-     with
-     | Vm.Interp.Php_exception v ->
-       Printf.eprintf "\nFatal error: uncaught exception: %s\n"
-         (Runtime.Value.debug_string v);
-       Runtime.Heap.decref v;
-       exit 255
-     | Runtime.Value.Php_fatal msg ->
-       Printf.eprintf "\nFatal error: %s\n" msg;
-       exit 255);
-    if dump_regions then begin
-      print_endline "\n=== profiled regions ===";
-      Hashtbl.iter
-        (fun fid _ ->
-           let f = Hhbc.Hunit.func unit_ fid in
-           List.iter
-             (fun region ->
-                Printf.printf "--- %s ---\n%s" f.fn_name
-                  (Region.Rdesc.to_string ~func:f (Region.Relax.run region)))
-             (Region.Form.form_func_regions fid))
-        Region.Transcfg.blocks_by_func
-    end;
-    if stats then begin
-      Printf.printf "\n--- stats ---\n";
-      Printf.printf "cycles: %d (interp %d, compiled %d)\n"
-        (Runtime.Ledger.read ())
-        (Runtime.Ledger.interp_cycles ()) (Runtime.Ledger.jit_cycles ());
-      Printf.printf "translations: %d live, %d profiling, %d optimized\n"
-        engine.Core.Engine.n_live engine.Core.Engine.n_profiling
-        engine.Core.Engine.n_optimized;
-      Printf.printf "code cache: %d bytes\n" (Core.Engine.code_bytes engine);
-      let hs = Runtime.Heap.stats () in
-      Printf.printf "heap: %d allocated, %d freed, %d live; %d increfs, %d decrefs\n"
-        hs.Runtime.Heap.allocated hs.Runtime.Heap.freed
-        hs.Runtime.Heap.live hs.Runtime.Heap.incref_ops
-        hs.Runtime.Heap.decref_ops;
-      let leaks = Runtime.Heap.live_allocations () in
-      if leaks <> [] then
-        Printf.printf "LEAKS: %s\n" (String.concat ", " leaks)
-    end;
-    report_telemetry engine te
-  end
+  let src = read_file file in
+  let unit_ = Vm.Loader.load src in
+  ignore (Hhbbc.Assert_insert.run unit_);
+  ignore (Hhbbc.Bc_opt.run unit_);
+  if dump_bc then begin
+    print_string (Hhbc.Disasm.unit_to_string unit_);
+    exit 0
+  end;
+  let engine = Core.Engine.install ~opts unit_ in
+  let call () =
+    match Hhbc.Hunit.find_func unit_ entry with
+    | None ->
+      Printf.eprintf "error: function %s not found\n" entry;
+      exit 1
+    | Some _ ->
+      let r, out =
+        Vm.Output.capture (fun () -> Vm.Interp.call_by_name unit_ entry [])
+      in
+      Runtime.Heap.decref r;
+      print_string out
+  in
+  (try
+     for i = 1 to repeat do
+       call ();
+       if opts.mode = Core.Jit_options.Region && i = max 1 (repeat / 2)
+       then ignore (Core.Engine.retranslate_all engine)
+     done
+   with
+   | Vm.Interp.Php_exception v ->
+     Printf.eprintf "\nFatal error: uncaught exception: %s\n"
+       (Runtime.Value.debug_string v);
+     Runtime.Heap.decref v;
+     exit 255
+   | Runtime.Value.Php_fatal msg ->
+     Printf.eprintf "\nFatal error: %s\n" msg;
+     exit 255);
+  if dump_regions then begin
+    print_endline "\n=== profiled regions ===";
+    Hashtbl.iter
+      (fun fid _ ->
+         let f = Hhbc.Hunit.func unit_ fid in
+         List.iter
+           (fun region ->
+              Printf.printf "--- %s ---\n%s" f.fn_name
+                (Region.Rdesc.to_string ~func:f (Region.Relax.run region)))
+           (Region.Form.form_func_regions fid))
+      Region.Transcfg.blocks_by_func
+  end;
+  if stats then begin
+    Printf.printf "\n--- stats ---\n";
+    Printf.printf "cycles: %d (interp %d, compiled %d)\n"
+      (Runtime.Ledger.read ())
+      (Runtime.Ledger.interp_cycles ()) (Runtime.Ledger.jit_cycles ());
+    Printf.printf "translations: %d live, %d profiling, %d optimized\n"
+      engine.Core.Engine.n_live engine.Core.Engine.n_profiling
+      engine.Core.Engine.n_optimized;
+    Printf.printf "code cache: %d bytes\n" (Core.Engine.code_bytes engine);
+    let hs = Runtime.Heap.stats () in
+    Printf.printf "heap: %d allocated, %d freed, %d live; %d increfs, %d decrefs\n"
+      hs.Runtime.Heap.allocated hs.Runtime.Heap.freed
+      hs.Runtime.Heap.live hs.Runtime.Heap.incref_ops
+      hs.Runtime.Heap.decref_ops;
+    let leaks = Runtime.Heap.live_allocations () in
+    if leaks <> [] then
+      Printf.printf "LEAKS: %s\n" (String.concat ", " leaks)
+  end;
+  report_telemetry engine te
 
 let run_term =
   let file =
-    Arg.(value & pos 0 (some file) None
-         & info [] ~docv:"FILE"
-           ~doc:"MiniPHP source file (optional with $(b,--perflab))")
+    Arg.(required & pos 0 (some file) None
+         & info [] ~docv:"FILE" ~doc:"MiniPHP source file")
   in
   let entry =
     Arg.(value & opt string "main"
@@ -444,34 +448,8 @@ let run_term =
            ~doc:"Run the entry function N times (region mode retranslates \
                  half-way)")
   in
-  let perflab =
-    Arg.(value & flag
-         & info [ "perflab" ]
-           ~doc:"Run the Perflab endpoint mix instead of a source file \
-                 (legacy; see also the $(b,serve) and $(b,report) \
-                 subcommands)")
-  in
-  let serving_report =
-    Arg.(value & opt (some string) None
-         & info [ "serving-report" ] ~docv:"FILE"
-           ~doc:"With $(b,--perflab): run the deterministic measured \
-                 serving burst (spans and profiler forced on, mid-burst \
-                 retranslate-all) and write the JSON latency report — \
-                 p50/p95/p99/max weighted cycles per request, per-phase \
-                 breakdown, per-endpoint percentiles.  Byte-identical for \
-                 any --jit-workers x --request-workers configuration")
-  in
-  let profile_folded =
-    Arg.(value & opt (some string) None
-         & info [ "profile-folded" ] ~docv:"FILE"
-           ~doc:"With $(b,--perflab): write the measured burst's cycle \
-                 attribution as folded stacks (one 'frame;frame;... count' \
-                 line per stack, flamegraph.pl-compatible).  Line counts \
-                 sum exactly to the burst's total serving cycles")
-  in
   Term.(const run $ opts_term $ telemetry_term $ file $ entry $ dump_bc
-        $ dump_regions $ stats $ repeat $ perflab $ serving_report
-        $ profile_folded)
+        $ dump_regions $ stats $ repeat)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the endpoint request stream, cold or jumpstarted             *)
@@ -585,32 +563,6 @@ let warmup_term =
            ~doc:"Serve N requests before retranslate-all and capture")
   in
   Term.(const warmup $ opts_term $ dump $ trigger)
-
-(* ------------------------------------------------------------------ *)
-(* report: telemetry-focused perflab mix run                           *)
-(* ------------------------------------------------------------------ *)
-
-let report opts te serving_report profile_folded =
-  perflab_run opts te serving_report profile_folded
-
-let report_term =
-  let serving_report =
-    Arg.(value & opt (some string) None
-         & info [ "serving-report" ] ~docv:"FILE"
-           ~doc:"Run the deterministic measured serving burst and write \
-                 the JSON latency report (p50/p95/p99/max weighted cycles \
-                 per request, per-phase breakdown, per-endpoint \
-                 percentiles).  Byte-identical for any \
-                 --jit-workers x --request-workers configuration")
-  in
-  let profile_folded =
-    Arg.(value & opt (some string) None
-         & info [ "profile-folded" ] ~docv:"FILE"
-           ~doc:"Write the measured burst's cycle attribution as folded \
-                 stacks (flamegraph.pl-compatible)")
-  in
-  Term.(const report $ opts_term $ telemetry_term $ serving_report
-        $ profile_folded)
 
 (* ------------------------------------------------------------------ *)
 

@@ -10,6 +10,7 @@
 open Vasm.Vinstr
 open Vasm.Regalloc
 open Runtime.Value
+module Ops = Runtime.Ops
 
 type outcome =
   | XReturn of value            (** translation executed RetC *)
@@ -60,14 +61,14 @@ let run_helper (m : machine) (frame : Vm.Interp.frame) (h : helper)
   let a n = args.(n) in
   let dispatch = !Vm.Interp.call_dispatch in
   match h with
-  | HGenBinop op -> Runtime.Ops.binop_fn op (a 0) (a 1)
-  | HGenToBool -> VBool (truthy (a 0))
+  | HGenBinop op -> Ops.binop_fn op (a 0) (a 1)
+  | HGenUnop op -> Ops.unop_fn op (a 0)
   | HGenPrint -> Vm.Output.write (to_string_val (a 0)); VNull
   | HPrintStr | HPrintInt -> Vm.Output.write (to_string_val (a 0)); VNull
   | HConcat -> Runtime.Heap.new_str (to_string_val (a 0) ^ to_string_val (a 1))
-  | HToStr -> Runtime.Heap.new_str (to_string_val (a 0))
-  | HToInt -> VInt (to_int_val (a 0))
-  | HToDbl -> VDbl (to_dbl_val (a 0))
+  | HToStr -> Runtime.Heap.new_str (Ops.to_str (a 0))
+  | HToInt -> VInt (Ops.to_int (a 0))
+  | HToDbl -> VDbl (Ops.to_dbl (a 0))
   | HNewArr -> Runtime.Heap.new_arr ()
   | HArrAppend ->
     let node = need_arr_node (a 0) in
@@ -121,7 +122,7 @@ let run_helper (m : machine) (frame : Vm.Interp.frame) (h : helper)
   | HIncDecProp (slot, op) ->
     let o = need_obj (a 0) in
     let old = o.data.props.(slot) in
-    let nv, result = Runtime.Ops.incdec op old in
+    let nv, result = Ops.incdec op old in
     o.data.props.(slot) <- nv;
     result
   | HIssetPropGen p ->
@@ -234,8 +235,6 @@ let run_helper (m : machine) (frame : Vm.Interp.frame) (h : helper)
 (* The execution loop                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let truthy_word (v : value) : bool = truthy v
-
 (** Run a translation from instruction index [entry].  Returns the outcome
     plus a reader over the final machine state (registers and spill slots),
     which the engine uses with [tr_loc] to materialize inline-exit frames. *)
@@ -285,23 +284,23 @@ let run_with_state (m : machine) (tr : Translation.t) ~(entry : int)
      | VMov (d, s) -> wr d (rd s)
      | VArithI (op, d, x, y) ->
        let xi = to_int_val (rd x) and yi = to_int_val (rd y) in
-       wr d (VInt (Runtime.Ops.int_arith op xi yi))
+       wr d (VInt (Ops.int_arith op xi yi))
      | VArithD (op, d, x, y) ->
        let xd = to_dbl_val (rd x) and yd = to_dbl_val (rd y) in
-       wr d (VDbl (Runtime.Ops.dbl_arith op xd yd))
-     | VNegI (d, s) -> wr d (VInt (- to_int_val (rd s)))
-     | VNegD (d, s) -> wr d (VDbl (-. to_dbl_val (rd s)))
-     | VNotB (d, s) -> wr d (VBool (not (truthy_word (rd s))))
-     | VCvtID (d, s) -> wr d (VDbl (float_of_int (to_int_val (rd s))))
+       wr d (VDbl (Ops.dbl_arith op xd yd))
+     | VNegI (d, s) -> wr d (VInt (Ops.neg_int (Ops.to_int (rd s))))
+     | VNegD (d, s) -> wr d (VDbl (Ops.neg_dbl (Ops.to_dbl (rd s))))
+     | VNotB (d, s) -> wr d (VBool (not (Ops.to_bool (rd s))))
+     | VCvtID (d, s) -> wr d (VDbl (Ops.int_to_dbl (Ops.to_int (rd s))))
      | VCmpI (c, d, x, y) ->
-       wr d (VBool (Runtime.Ops.cmp_int c (to_int_val (rd x)) (to_int_val (rd y))))
+       wr d (VBool (Ops.cmp_int c (to_int_val (rd x)) (to_int_val (rd y))))
      | VCmpD (c, d, x, y) ->
-       wr d (VBool (Runtime.Ops.cmp_dbl c (to_dbl_val (rd x)) (to_dbl_val (rd y))))
+       wr d (VBool (Ops.cmp_dbl c (to_dbl_val (rd x)) (to_dbl_val (rd y))))
      | VCmpS (c, d, x, y) ->
-       wr d (VBool (Runtime.Ops.cmp_str c (to_string_val (rd x)) (to_string_val (rd y))))
+       wr d (VBool (Ops.cmp_str c (to_string_val (rd x)) (to_string_val (rd y))))
      | VCmpB (d, x, y) ->
-       wr d (VBool (truthy_word (rd x) = truthy_word (rd y)))
-     | VToBool (d, s) -> wr d (VBool (truthy_word (rd s)))
+       wr d (VBool (Ops.to_bool (rd x) = Ops.to_bool (rd y)))
+     | VToBool (d, s) -> wr d (VBool (Ops.to_bool (rd s)))
      | VLdLoc (d, l) -> wr d frame.locals.(l)
      | VStLoc (l, s) -> frame.locals.(l) <- rd s
      | VLdStk (d, slot) -> wr d frame.stack.(entry_sp + slot)
@@ -321,8 +320,8 @@ let run_with_state (m : machine) (tr : Translation.t) ~(entry : int)
                       msg tr.tr_id tr.tr_fid tr.tr_srckey !ip))
      | VDecRefNZ s -> Runtime.Heap.decref_nz (rd s)
      | VJmp label -> jump label
-     | VJmpZ (s, label) -> if not (truthy_word (rd s)) then jump label
-     | VJmpNZ (s, label) -> if truthy_word (rd s) then jump label
+     | VJmpZ (s, label) -> if not (Ops.to_bool (rd s)) then jump label
+     | VJmpNZ (s, label) -> if Ops.to_bool (rd s) then jump label
      | VHelper (h, hargs, dst, fixup) ->
        let argv = Array.of_list (List.map rd hargs) in
        (try

@@ -69,8 +69,7 @@ type t = {
   mutable max_live_per_srckey : int;  (* retranslation-chain length limit *)
   mutable nregs : int;
   mutable max_region_instrs : int;
-  mutable max_inline_blocks : int;    (* partial-inlining budget *)
-  mutable max_inline_instrs : int;
+  mutable max_inline_instrs : int;    (* partial-inlining budget *)
   (* retranslate-all compile parallelism: number of domains running the
      region -> HHIR -> vasm compile phase ([--jit-workers N] /
      [JIT_WORKERS]; 1 = serial; 0 = unset, resolved to the environment
@@ -134,7 +133,6 @@ let default () : t = {
   max_live_per_srckey = 4;
   nregs = 12;
   max_region_instrs = 200;
-  max_inline_blocks = 4;
   max_inline_instrs = 40;
   jit_workers = 0;
   request_workers = 0;
@@ -217,7 +215,6 @@ let lower_options (t : t) : Hhir.Lower.options =
   { Hhir.Lower.o_inline = t.inlining;
     o_method_dispatch = t.method_dispatch;
     o_inline_cache = t.inline_cache;
-    o_max_inline_blocks = t.max_inline_blocks;
     o_max_inline_instrs = t.max_inline_instrs;
     o_rce = t.rce;
     o_load_elim = t.load_elim;

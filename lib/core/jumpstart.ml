@@ -57,7 +57,7 @@ let format_version = 1
     stats/trace/spans, lazy translation, dispatch loop) are deliberately
     excluded — an image dumped by a 1x1 process restores into a 4x4 one. *)
 let options_fingerprint (o : Jit_options.t) : string =
-  Printf.sprintf "m%d|i%b|r%b|g%b|d%b|c%b|p%b|f%b|le%b|se%b|gv%b|si%b|b%s|ch%d|nr%d|ri%d|ib%d|ii%d"
+  Printf.sprintf "m%d|i%b|r%b|g%b|d%b|c%b|p%b|f%b|le%b|se%b|gv%b|si%b|b%s|ch%d|nr%d|ri%d|ii%d"
     (match o.Jit_options.mode with
      | Jit_options.Interp -> 0 | Jit_options.Tracelet -> 1
      | Jit_options.ProfileOnly -> 2 | Jit_options.Region -> 3)
@@ -69,7 +69,7 @@ let options_fingerprint (o : Jit_options.t) : string =
     (match o.Jit_options.code_budget with
      | None -> "-" | Some b -> string_of_int b)
     o.Jit_options.max_live_per_srckey o.Jit_options.nregs
-    o.Jit_options.max_region_instrs o.Jit_options.max_inline_blocks
+    o.Jit_options.max_region_instrs
     o.Jit_options.max_inline_instrs
 
 (** Digest identifying (unit, codegen options): a stale image saved from

@@ -60,28 +60,6 @@ let set_local (s : state) (l : int) (t : R.t) : state =
   locals.(l) <- t;
   { s with locals }
 
-(** Result type of an arithmetic op on abstract operands. *)
-let arith_type (a : R.t) (b : R.t) : R.t =
-  if R.subtype a R.int && R.subtype b R.int then R.int
-  else if (R.subtype a R.dbl && R.subtype b R.num)
-       || (R.subtype b R.dbl && R.subtype a R.num) then R.dbl
-  else R.num
-
-let binop_type (op : binop) (a : R.t) (b : R.t) : R.t =
-  match op with
-  | OpAdd | OpSub | OpMul -> arith_type a b
-  | OpDiv -> if R.subtype a R.dbl || R.subtype b R.dbl then R.dbl else R.num
-  | OpMod -> R.int
-  | OpConcat -> R.cstr
-  | OpEq | OpNeq | OpSame | OpNSame | OpLt | OpLte | OpGt | OpGte -> R.bool
-  | OpBitAnd | OpBitOr | OpBitXor | OpShl | OpShr -> R.int
-
-let incdec_type (t : R.t) : R.t =
-  if R.subtype t R.int then R.int
-  else if R.subtype t R.dbl then R.dbl
-  else if R.subtype t R.init_null then R.int   (* null++ -> 1 *)
-  else R.num
-
 (** [transfer u f i s] returns the fall-through successor state, or [None]
     when the instruction never falls through. *)
 let transfer (u : Hhbc.Hunit.t) (f : func) (i : Hhbc.Instr.t) (s : state)
@@ -119,29 +97,14 @@ let transfer (u : Hhbc.Hunit.t) (f : func) (i : Hhbc.Instr.t) (s : state)
   | PopC -> let _, s = pop s in Some s
   | Dup -> let t, s = pop s in Some (push t (push t s))
   | IncDecL (l, op) ->
-    let nt = incdec_type s.locals.(l) in
-    let result =
-      match op with
-      | PostInc | PostDec -> R.meet s.locals.(l) R.init_cell
-      | PreInc | PreDec -> nt
-    in
-    let result = if R.is_bottom result then nt else result in
+    let nt, result = Hhbc.Optype.incdec op s.locals.(l) in
     Some (push result (set_local s l nt))
   | IssetL _ -> Some (push R.bool s)
   | UnsetL l -> Some (set_local s l R.uninit)
   | Binop op ->
     let a, b, s = pop2 s in
-    Some (push (binop_type op a b) s)
-  | Not -> let _, s = pop s in Some (push R.bool s)
-  | Neg ->
-    let t, s = pop s in
-    Some (push (if R.subtype t R.int then R.int
-                else if R.subtype t R.dbl then R.dbl else R.num) s)
-  | BitNot -> let _, s = pop s in Some (push R.int s)
-  | CastInt -> let _, s = pop s in Some (push R.int s)
-  | CastDbl -> let _, s = pop s in Some (push R.dbl s)
-  | CastString -> let _, s = pop s in Some (push R.str s)
-  | CastBool -> let _, s = pop s in Some (push R.bool s)
+    Some (push (Hhbc.Optype.binop op a b) s)
+  | Unop op -> let t, s = pop s in Some (push (Hhbc.Optype.unop op t) s)
   | InstanceOf _ -> let _, s = pop s in Some (push R.bool s)
   | IsTypeL _ -> Some (push R.bool s)
   | Jmp _ -> None
@@ -198,9 +161,9 @@ let transfer (u : Hhbc.Hunit.t) (f : func) (i : Hhbc.Instr.t) (s : state)
   | SetM_Prop _ ->
     let v, _b, s = pop2 s |> fun (b, v, s) -> (v, b, s) in
     Some (push v s)
-  | IncDecM_Prop _ ->
+  | IncDecM_Prop (_, op) ->
     let _b, s = pop s in
-    Some (push R.num s)
+    Some (push (Hhbc.Optype.incdec_prop op) s)
   | IssetM_Elem ->
     let _k, _b, s = pop2 s in
     Some (push R.bool s)

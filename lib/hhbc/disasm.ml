@@ -39,13 +39,7 @@ let instr_to_string ?(func : func option) (i : t) : string =
   | IssetL l -> "IssetL " ^ loc l
   | UnsetL l -> "UnsetL " ^ loc l
   | Binop op -> binop_name op
-  | Not -> "Not"
-  | Neg -> "Neg"
-  | BitNot -> "BitNot"
-  | CastInt -> "CastInt"
-  | CastDbl -> "CastDbl"
-  | CastString -> "CastString"
-  | CastBool -> "CastBool"
+  | Unop _ -> opcode_names.(opcode_id i)
   | InstanceOf c -> "InstanceOfD " ^ c
   | IsTypeL (l, tag) ->
     Printf.sprintf "IsTypeL %s %s" (loc l) (Runtime.Value.tag_name tag)

@@ -100,8 +100,6 @@ let rec const_of_expr (e : expr) : cval =
   | Int i -> CInt i
   | Dbl d -> CDbl d
   | Str s -> CStr s
-  | Unop (Neg, Int i) -> CInt (-i)
-  | Unop (Neg, Dbl d) -> CDbl (-.d)
   | ArrayLit items ->
     CArr (List.map
             (fun ((k : expr option), v) ->
@@ -140,9 +138,7 @@ let rec emit_expr ctx (e : expr) : unit =
   | Binop (op, a, b) ->
     emit_expr ctx a; emit_expr ctx b;
     emit ctx (Instr.Binop (Mphp.Ast.vm_binop op))
-  | Unop (Neg, a) -> emit_expr ctx a; emit ctx Instr.Neg
-  | Unop (Not, a) -> emit_expr ctx a; emit ctx Not
-  | Unop (BitNot, a) -> emit_expr ctx a; emit ctx BitNot
+  | Unop (op, a) -> emit_expr ctx a; emit ctx (Instr.Unop op)
   | And (a, b) ->
     (* short-circuit, result is a bool *)
     let l_false = new_label ctx and l_end = new_label ctx in
@@ -205,10 +201,6 @@ let rec emit_expr ctx (e : expr) : unit =
   | InstanceOf (a, c) ->
     emit_expr ctx a;
     emit ctx (Instr.InstanceOf c)
-  | CastInt a -> emit_expr ctx a; emit ctx Instr.CastInt
-  | CastDbl a -> emit_expr ctx a; emit ctx Instr.CastDbl
-  | CastStr a -> emit_expr ctx a; emit ctx CastString
-  | CastBool a -> emit_expr ctx a; emit ctx Instr.CastBool
   | Assign (lv, rhs) -> emit_assign ctx lv rhs
   | AssignOp (op, lv, rhs) ->
     (* desugar: lv = read(lv) op rhs *)

@@ -18,6 +18,9 @@ type binop = Runtime.Ops.binop =
   | OpLt | OpLte | OpGt | OpGte
   | OpBitAnd | OpBitOr | OpBitXor | OpShl | OpShr
 
+type unop = Runtime.Ops.unop =
+  | Not | Neg | BitNot | CastInt | CastDbl | CastString | CastBool
+
 type t =
   (* --- constants --- *)
   | Int of int
@@ -43,10 +46,7 @@ type t =
   | UnsetL of local
   (* --- operators (pop operands, push result) --- *)
   | Binop of binop
-  | Not
-  | Neg
-  | BitNot
-  | CastInt | CastDbl | CastString | CastBool
+  | Unop of unop
   | InstanceOf of string      (** obj/value on stack; pushes bool *)
   | IsTypeL of local * Runtime.Value.tag  (** is_int($x) etc., no incref *)
   (* --- control flow --- *)
@@ -163,8 +163,7 @@ let stack_effect (i : t) : int =
   | PopL _ | PopC -> -1
   | Dup | IncDecL _ | IssetL _ | IsTypeL _ -> 1
   | Binop _ -> -1
-  | Not | Neg | BitNot | CastInt | CastDbl | CastString | CastBool
-  | InstanceOf _ -> 0
+  | Unop _ | InstanceOf _ -> 0
   | Jmp _ -> 0
   | JmpZ _ | JmpNZ _ -> -1
   | RetC | Throw -> -1
@@ -234,9 +233,10 @@ let opcode_id (i : t) : int =
   | Null -> 5 | NewArray -> 6 | AddNewElemC -> 7 | AddElemC -> 8
   | CGetL _ -> 9 | CGetL2 _ -> 10 | CGetQuietL _ -> 11 | PushL _ -> 12
   | SetL _ -> 13 | PopL _ -> 14 | PopC -> 15 | Dup -> 16 | IncDecL _ -> 17
-  | IssetL _ -> 18 | UnsetL _ -> 19 | Binop _ -> 20 | Not -> 21 | Neg -> 22
-  | BitNot -> 23 | CastInt -> 24 | CastDbl -> 25 | CastString -> 26
-  | CastBool -> 27 | InstanceOf _ -> 28 | IsTypeL _ -> 29 | Jmp _ -> 30
+  | IssetL _ -> 18 | UnsetL _ -> 19 | Binop _ -> 20 | Unop Not -> 21
+  | Unop Neg -> 22 | Unop BitNot -> 23 | Unop CastInt -> 24
+  | Unop CastDbl -> 25 | Unop CastString -> 26 | Unop CastBool -> 27
+  | InstanceOf _ -> 28 | IsTypeL _ -> 29 | Jmp _ -> 30
   | JmpZ _ -> 31 | JmpNZ _ -> 32 | RetC -> 33 | Throw -> 34 | Fatal _ -> 35
   | FCall _ -> 36 | FCallD _ -> 37 | FCallBuiltin _ -> 38 | FCallM _ -> 39
   | NewObjD _ -> 40 | This -> 41 | QueryM_Elem -> 42 | QueryM_Prop _ -> 43

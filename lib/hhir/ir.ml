@@ -68,7 +68,7 @@ type op =
   | ConvToDbl
   (* ---- generic fallbacks (boxed args/results; helper calls) ---- *)
   | GenBinop of Hhbc.Instr.binop
-  | GenConvToBool
+  | GenUnop of Hhbc.Instr.unop   (* generic unary op or cast: helper *)
   | GenPrint
   | PrintStr | PrintInt
   (* ---- arrays (value semantics / COW inside helpers) ---- *)
@@ -280,7 +280,7 @@ let op_name (op : op) : string =
   | ConvToInt -> "ConvToInt"
   | ConvToDbl -> "ConvToDbl"
   | GenBinop op -> "Gen" ^ Hhbc.Instr.binop_name op
-  | GenConvToBool -> "GenConvToBool"
+  | GenUnop op -> "Gen" ^ Hhbc.Instr.(opcode_names.(opcode_id (Unop op)))
   | GenPrint -> "GenPrint"
   | PrintStr -> "PrintStr" | PrintInt -> "PrintInt"
   | NewArr -> "NewArr"

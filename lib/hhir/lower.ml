@@ -23,11 +23,13 @@ open Ir
 
 type mode = Live | Profiling | Optimized
 
+(* partial inlining: a callee of more basic blocks is never inlined *)
+let max_inline_blocks = 4
+
 type options = {
   o_inline : bool;
   o_method_dispatch : bool;   (* profile-guided devirtualization *)
   o_inline_cache : bool;
-  o_max_inline_blocks : int;
   o_max_inline_instrs : int;
   o_rce : bool;               (* consumed by the opt pipeline, carried here *)
   o_load_elim : bool;
@@ -251,7 +253,7 @@ let rec lower_bc env (b0 : Ir.block) (st : lstate) ~(fr : frame_ops)
     if R.subtype v.t_ty R.bool then v
     else if R.is_specific v.t_ty then
       emitd env !b ~bcpc ConvToBool [ v ] R.bool
-    else emitd env !b ~bcpc GenConvToBool [ v ] R.bool
+    else emitd env !b ~bcpc (GenUnop CastBool) [ v ] R.bool
   in
   (* close the current block jumping to bytecode pc *)
   let goto ~bcpc (target_pc : int) =
@@ -418,41 +420,37 @@ let rec lower_bc env (b0 : Ir.block) (st : lstate) ~(fr : frame_ops)
          decref env !b ~bcpc lhs;
          decref env !b ~bcpc rhs;
          pushv r
-       | Not ->
+       | Unop Not ->
          let v = popv ~bcpc () in
          let bl = to_bool ~bcpc v in
          decref env !b ~bcpc v;
          pushv (emitd env !b ~bcpc NotBool [ bl ] R.bool)
-       | Neg ->
+       | Unop Neg ->
          let v = popv ~bcpc () in
          if R.subtype v.t_ty R.int then
            pushv (emitd env !b ~bcpc NegInt [ v ] R.int)
          else if R.subtype v.t_ty R.dbl then
            pushv (emitd env !b ~bcpc NegDbl [ v ] R.dbl)
          else begin
-           let r = emitd env !b ~bcpc (GenBinop OpSub) [ v; v ] R.num in
-           (* generic negate via helper: 0 - v; keep a dedicated helper out
-              of the ISA by reusing GenBinop with a zero constant *)
-           ignore r;
-           let zero = emitd env !b ~bcpc (ConstInt 0) [] R.int in
-           let r = emitd env !b ~bcpc (GenBinop OpSub) [ zero; v ] R.num in
+           (* not 0 - v, which loses the sign of -0.0 *)
+           let r = emitd env !b ~bcpc (GenUnop Neg) [ v ] R.num in
            decref env !b ~bcpc v;
            pushv r
          end
-       | BitNot ->
+       | Unop BitNot ->
          let v = popv ~bcpc () in
          let vi = if R.subtype v.t_ty R.int then v
            else emitd env !b ~bcpc ConvToInt [ v ] R.int in
          decref env !b ~bcpc v;
          let m1 = emitd env !b ~bcpc (ConstInt (-1)) [] R.int in
          pushv (emitd env !b ~bcpc XorInt [ vi; m1 ] R.int)
-       | CastInt ->
+       | Unop CastInt ->
          let v = popv ~bcpc () in
          let r = if R.subtype v.t_ty R.int then v
            else emitd env !b ~bcpc ConvToInt [ v ] R.int in
          if r != v then decref env !b ~bcpc v;
          pushv r
-       | CastDbl ->
+       | Unop CastDbl ->
          let v = popv ~bcpc () in
          let r = if R.subtype v.t_ty R.dbl then v
            else if R.subtype v.t_ty R.int then
@@ -460,12 +458,12 @@ let rec lower_bc env (b0 : Ir.block) (st : lstate) ~(fr : frame_ops)
            else emitd env !b ~bcpc ConvToDbl [ v ] R.dbl in
          if r != v then decref env !b ~bcpc v;
          pushv r
-       | CastBool ->
+       | Unop CastBool ->
          let v = popv ~bcpc () in
          let r = to_bool ~bcpc v in
          if r != v then decref env !b ~bcpc v;
          pushv r
-       | CastString ->
+       | Unop CastString ->
          let v = popv ~bcpc () in
          if R.subtype v.t_ty R.str then pushv v
          else begin
@@ -545,10 +543,16 @@ let rec lower_bc env (b0 : Ir.block) (st : lstate) ~(fr : frame_ops)
          let base = popv ~bcpc () in
          (match slot_of env base.t_ty p with
           | Some slot ->
-            let r = emitd env !b ~bcpc (IncDecProp (slot, op)) [ base ] R.num in
+            let r =
+              emitd env !b ~bcpc (IncDecProp (slot, op)) [ base ]
+                (Hhbc.Optype.incdec_prop op)
+            in
             decref env !b ~bcpc base;
             pushv r
-          | None -> punt ~bcpc ())
+          | None ->
+            (* the interpreter re-executes it with its base on the stack *)
+            pushv base;
+            punt ~bcpc ())
        | IssetM_Elem ->
          let k = popv ~bcpc () in
          let base = popv ~bcpc () in
@@ -1001,7 +1005,7 @@ and try_inline env b st ~bcpc ~delta ~(fid : int) ~(args : tmp list)
           in
           let this_ok = this_ <> None || callee.fn_cls = None in
           if (not tree)
-          || List.length heads > env.opts.o_max_inline_blocks
+          || List.length heads > max_inline_blocks
           || total > env.opts.o_max_inline_instrs
           || has_iters || not this_ok then false
           else begin

@@ -57,7 +57,7 @@ let observes (i : instr) (t : tmp) : bool =
     (* publishing t itself: the pending IncRef accounts for this reference *)
     List.exists (fun a -> a == t) i.i_args
   | CallPhp _ | CallPhpT _ | CallMethodSlow _ | CallMethodCached _
-  | CallCtor _ | CallBuiltin _ | GenBinop _ | GenConvToBool | GenPrint
+  | CallCtor _ | CallBuiltin _ | GenBinop _ | GenUnop _ | GenPrint
   | LdPropGen _ | IncDecProp _ | IssetPropGen _
   | InstanceOfGen _ ->
     (* helpers may copy, store, or release values *)

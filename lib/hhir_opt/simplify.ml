@@ -14,6 +14,12 @@ type konst =
 
 (* Folds compute through {!Runtime.Ops}, the interpreter's own operator
    semantics, and decline where it raises (a zero modulus). *)
+let value_of : konst -> Runtime.Value.value = function
+  | KInt n -> VInt n
+  | KDbl d -> VDbl d
+  | KBool b -> VBool b
+  | KNull -> VNull
+
 let int_op : op -> Ops.iop = function
   | AddInt -> Add | SubInt -> Sub | MulInt -> Mul | ModInt -> Mod
   | AndInt -> And | OrInt -> Or | XorInt -> Xor | ShlInt -> Shl
@@ -81,7 +87,7 @@ let run (u : t) : int =
                 | _ -> ())
              | NegInt, [ a ] ->
                (match const_of a with
-                | Some (KInt x) -> set_const i (KInt (-x))
+                | Some (KInt x) -> set_const i (KInt (Ops.neg_int x))
                 | _ -> ())
              | AddDbl, [ a; c ] ->
                (match const_of a, const_of c with
@@ -90,7 +96,7 @@ let run (u : t) : int =
                 | _ -> ())
              | CvtIntToDbl, [ a ] ->
                (match const_of a with
-                | Some (KInt x) -> set_const i (KDbl (float_of_int x))
+                | Some (KInt x) -> set_const i (KDbl (Ops.int_to_dbl x))
                 | _ -> ())
              | CmpInt c, [ a; b2 ] ->
                (match const_of a, const_of b2 with
@@ -99,14 +105,11 @@ let run (u : t) : int =
                 | _ -> ())
              | NotBool, [ a ] ->
                (match const_of a with
-                | Some (KBool bv) -> set_const i (KBool (not bv))
-                | _ -> ())
+                | Some k -> set_const i (KBool (not (Ops.to_bool (value_of k))))
+                | None -> ())
              | ConvToBool, [ a ] ->
                (match const_of a with
-                | Some (KBool bv) -> set_const i (KBool bv)
-                | Some (KInt n) -> set_const i (KBool (n <> 0))
-                | Some (KDbl d) -> set_const i (KBool (d <> 0.0))
-                | Some KNull -> set_const i (KBool false)
+                | Some k -> set_const i (KBool (Ops.to_bool (value_of k)))
                 | None ->
                   if R.subtype a.t_ty R.bool then set_copy i a)
              | AssertType, [ a ] ->

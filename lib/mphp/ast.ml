@@ -13,7 +13,9 @@ type binop =
   | Lt | Lte | Gt | Gte
   | BitAnd | BitOr | BitXor | Shl | Shr
 
-type unop = Neg | Not | BitNot
+(** Unary operators and casts: {!Runtime.Ops} defines them. *)
+type unop = Runtime.Ops.unop =
+  | Not | Neg | BitNot | CastInt | CastDbl | CastString | CastBool
 
 type incdec = PreInc | PreDec | PostInc | PostDec
 
@@ -39,7 +41,7 @@ type expr =
   | Var of string
   | This
   | Binop of binop * expr * expr
-  | Unop of unop * expr
+  | Unop of unop * expr                   (** -e, !e, ~e, (int)e, ... *)
   | And of expr * expr                     (** short-circuit *)
   | Or of expr * expr
   | Ternary of expr * expr * expr
@@ -49,10 +51,6 @@ type expr =
   | MethodCall of expr * string * expr list
   | New of string * expr list
   | InstanceOf of expr * string
-  | CastInt of expr
-  | CastDbl of expr
-  | CastStr of expr
-  | CastBool of expr
   | Assign of lval * expr
   | AssignOp of binop * lval * expr        (** $x += e, $s .= e, ... *)
   | IncDec of incdec * lval

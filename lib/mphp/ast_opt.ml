@@ -15,6 +15,7 @@ let value : expr -> V.value = function
   | Int i -> VInt i
   | Dbl d -> VDbl d
   | Str s -> VStr { rc = V.static_rc; id = 0; data = s }
+  | Bool b -> VBool b
   | _ -> invalid_arg "Ast_opt.value"
 
 let rec fold_expr (e : expr) : expr =
@@ -58,27 +59,6 @@ let rec fold_expr (e : expr) : expr =
   | MethodCall (o, m, args) -> MethodCall (fold_expr o, m, List.map fold_expr args)
   | New (c, args) -> New (c, List.map fold_expr args)
   | InstanceOf (a, c) -> InstanceOf (fold_expr a, c)
-  | CastInt a ->
-    (match fold_expr a with
-     | Int i -> Int i
-     | Dbl d -> Int (int_of_float d)
-     | Bool b -> Int (if b then 1 else 0)
-     | a -> CastInt a)
-  | CastDbl a ->
-    (match fold_expr a with
-     | Int i -> Dbl (float_of_int i)
-     | Dbl d -> Dbl d
-     | a -> CastDbl a)
-  | CastStr a ->
-    (match fold_expr a with
-     | Str s -> Str s
-     | Int i -> Str (string_of_int i)
-     | a -> CastStr a)
-  | CastBool a ->
-    (match fold_expr a with
-     | Bool b -> Bool b
-     | Int i -> Bool (i <> 0)
-     | a -> CastBool a)
   | Assign (l, r) -> Assign (fold_lval l, fold_expr r)
   | AssignOp (op, l, r) -> AssignOp (op, fold_lval l, fold_expr r)
   | IncDec (k, l) -> IncDec (k, fold_lval l)
@@ -114,14 +94,30 @@ and fold_binop op a b : expr =
   in
   Option.value folded ~default:(Binop (op, a, b))
 
-and fold_unop op a : expr =
-  match op, a with
-  | Neg, Int x -> Int (-x)
-  | Neg, Dbl x -> Dbl (-.x)
-  | Not, Bool b -> Bool (not b)
-  | Not, Int i -> Bool (i = 0)
-  | BitNot, Int x -> Int (lnot x)
-  | _ -> Unop (op, a)
+and fold_unop (op : unop) a : expr =
+  (* As binary operators: these operand shapes fold through {!Runtime.Ops}
+     and a fold declines where the operator raises.  A string cast folds
+     through the string-level conversion, off the runtime heap. *)
+  let foldable =
+    match op, a with
+    | (Neg | CastInt | CastDbl), (Int _ | Dbl _)
+    | (Not | CastBool | CastInt), (Int _ | Bool _)
+    | BitNot, Int _
+    | CastString, (Int _ | Str _) -> true
+    | _ -> false
+  in
+  let folded =
+    if not foldable then None
+    else if op = CastString then Some (Str (Ops.to_str (value a)))
+    else
+      match Ops.unop_fn op (value a) with
+      | V.VInt n -> Some (Int n)
+      | V.VDbl d -> Some (Dbl d)
+      | V.VBool b -> Some (Bool b)
+      | _ -> None
+      | exception V.Php_fatal _ -> None
+  in
+  Option.value folded ~default:(Unop (op, a))
 
 let rec fold_stmt (s : stmt) : stmt list =
   match s with

@@ -210,13 +210,13 @@ and parse_unary st : expr =
     (* cast or parenthesized expression *)
     (match st.lx.toks.(st.i + 1), st.lx.toks.(st.i + 2) with
      | TIdent ("int" | "integer"), TPunct ")" ->
-       st.i <- st.i + 3; CastInt (parse_unary st)
+       st.i <- st.i + 3; Unop (CastInt, parse_unary st)
      | TIdent ("float" | "double"), TPunct ")" ->
-       st.i <- st.i + 3; CastDbl (parse_unary st)
+       st.i <- st.i + 3; Unop (CastDbl, parse_unary st)
      | TIdent "string", TPunct ")" ->
-       st.i <- st.i + 3; CastStr (parse_unary st)
+       st.i <- st.i + 3; Unop (CastString, parse_unary st)
      | TIdent ("bool" | "boolean"), TPunct ")" ->
-       st.i <- st.i + 3; CastBool (parse_unary st)
+       st.i <- st.i + 3; Unop (CastBool, parse_unary st)
      | _ ->
        advance st;
        let e = parse_expr st in

@@ -97,14 +97,6 @@ let select (u : Hhbc.Hunit.t) ~(func_id : int) ~(start : int) ~(mode : mode)
     push s;
     if not (R.is_specific s.ty) then end_pending := true
   in
-  let arith_result (a : sym) (b : sym) : R.t =
-    raise_constraint a Specific;
-    raise_constraint b Specific;
-    if R.subtype a.ty R.int && R.subtype b.ty R.int then R.int
-    else if (R.subtype a.ty R.num && R.subtype b.ty R.num) then
-      (if R.subtype a.ty R.dbl || R.subtype b.ty R.dbl then R.dbl else R.num)
-    else R.num
-  in
   let len = ref 0 in
   let pc = ref start in
   (* "end after the current instruction": count it and stop *)
@@ -176,78 +168,29 @@ let select (u : Hhbc.Hunit.t) ~(func_id : int) ~(start : int) ~(mode : mode)
           let v = pop () in
           raise_constraint v Countness;
           push v; push v
-        | IncDecL (l, _) ->
+        | IncDecL (l, op) ->
           let s = local_sym l in
           raise_constraint s Specific;
-          let nt =
-            if R.subtype s.ty R.int then R.int
-            else if R.subtype s.ty R.dbl then R.dbl
-            else if R.subtype s.ty R.init_null then R.int
-            else R.num
-          in
+          let nt, result = Hhbc.Optype.incdec op s.ty in
           set_local l (known nt);
-          check_result_specific (known nt)
+          check_result_specific (known result)
         | IssetL _ -> push (known R.bool)
         | UnsetL l ->
           let s = local_sym l in
           raise_constraint s BoxAndCountness;
           set_local l (known R.uninit)
         (* ---- operators ---- *)
-        | Binop (OpAdd | OpSub | OpMul) ->
-          let b = pop () in
-          let a = pop () in
-          check_result_specific (known (arith_result a b))
-        | Binop OpDiv ->
+        | Binop op ->
           let b = pop () in
           let a = pop () in
           raise_constraint a Specific;
           raise_constraint b Specific;
-          let ty =
-            if R.subtype a.ty R.dbl || R.subtype b.ty R.dbl then R.dbl
-            else R.num   (* int/int may produce double *)
-          in
-          check_result_specific (known ty)
-        | Binop OpMod ->
-          let b = pop () in
-          let a = pop () in
-          raise_constraint a Specific;
-          raise_constraint b Specific;
-          push (known R.int)
-        | Binop OpConcat ->
-          let b = pop () in
-          let a = pop () in
-          raise_constraint a Specific;
-          raise_constraint b Specific;
-          push (known R.cstr)
-        | Binop (OpBitAnd | OpBitOr | OpBitXor | OpShl | OpShr) ->
-          let b = pop () in
-          let a = pop () in
-          raise_constraint a Specific;
-          raise_constraint b Specific;
-          push (known R.int)
-        | Binop _ (* comparisons *) ->
-          let b = pop () in
-          let a = pop () in
-          raise_constraint a Specific;
-          raise_constraint b Specific;
-          push (known R.bool)
-        | Not ->
+          check_result_specific (known (Hhbc.Optype.binop op a.ty b.ty))
+        | Unop op ->
+          (* a non-specific negation does not end the block *)
           let v = pop () in
           raise_constraint v Specific;
-          push (known R.bool)
-        | Neg ->
-          let v = pop () in
-          raise_constraint v Specific;
-          push (known (if R.subtype v.ty R.int then R.int
-                       else if R.subtype v.ty R.dbl then R.dbl else R.num))
-        | BitNot ->
-          let v = pop () in
-          raise_constraint v Specific;
-          push (known R.int)
-        | CastInt -> let v = pop () in raise_constraint v Specific; push (known R.int)
-        | CastDbl -> let v = pop () in raise_constraint v Specific; push (known R.dbl)
-        | CastBool -> let v = pop () in raise_constraint v Specific; push (known R.bool)
-        | CastString -> let v = pop () in raise_constraint v Specific; push (known R.cstr)
+          push (known (Hhbc.Optype.unop op v.ty))
         | InstanceOf _ ->
           let v = pop () in
           raise_constraint v Specific;
@@ -297,10 +240,10 @@ let select (u : Hhbc.Hunit.t) ~(func_id : int) ~(start : int) ~(mode : mode)
           raise_constraint b Specialized;
           raise_constraint v Countness;
           push v
-        | IncDecM_Prop _ ->
+        | IncDecM_Prop (_, op) ->
           let b = pop () in
           raise_constraint b Specialized;
-          check_result_specific (known R.num)
+          check_result_specific (known (Hhbc.Optype.incdec_prop op))
         | IssetM_Elem ->
           let k = pop () in
           let b = pop () in

@@ -3,12 +3,13 @@
     Compiled code side-exits into the interpreter and re-enters it
     mid-function (paper §2.4, §4), so every tier must compute the same
     value for the same operator.  This module is the one definition:
-    - the interpreter's [Binop] handlers, the JIT's generic-binop helper
-      and the AST constant folder call {!binop_fn} on boxed values;
-    - HHIR Simplify and SimCPU's specialized arithmetic and compare
-      instructions call the int, double and string functions
-      ({!int_arith}, {!dbl_arith}, {!cmp_int}, ...), which the value-level
-      functions are built from.
+    - the interpreter's [Binop] and unary handlers, the JIT's generic
+      helpers and the AST constant folder call {!binop_fn} and
+      {!unop_fn} on boxed values;
+    - HHIR Simplify and SimCPU's specialized arithmetic, compare, negate
+      and conversion instructions call the int, double, bool and string
+      functions ({!int_arith}, {!dbl_arith}, {!cmp_int}, {!neg_int},
+      {!to_bool}, ...), which the value-level functions are built from.
 
     The interpreter is the oracle: where it differs from PHP (NaN in
     ordered comparisons), this module keeps the interpreter's behaviour.
@@ -26,6 +27,9 @@ type binop =
   | OpBitAnd | OpBitOr | OpBitXor | OpShl | OpShr
 
 type incdec_op = PostInc | PostDec | PreInc | PreDec
+
+(** The unary operators and the casts. *)
+type unop = Not | Neg | BitNot | CastInt | CastDbl | CastString | CastBool
 
 (** Conditions of the typed compare instructions. *)
 type cmp = Ceq | Cne | Clt | Cle | Cgt | Cge
@@ -94,6 +98,16 @@ let cmp_dbl (c : cmp) (x : float) (y : float) : bool =
 
 let cmp_str (c : cmp) (x : string) (y : string) : bool =
   of_order c (String.compare x y)
+
+let neg_int (x : int) : int = - x
+let neg_dbl (x : float) : float = -. x
+let int_to_dbl : int -> float = float_of_int
+
+(** The conversions behind the casts and truthiness, from {!Value}. *)
+let to_bool : value -> bool = truthy
+let to_int : value -> int = to_int_val
+let to_dbl : value -> float = to_dbl_val
+let to_str : value -> string = to_string_val
 
 (** [Some (f x y)], or [None] where [f] raises: a constant folder
     declines there and leaves the fatal to run time. *)
@@ -258,6 +272,22 @@ let binop_fn (op : binop) : value -> value -> value =
   | OpBitXor -> fun a b -> int_bitop Xor a b
   | OpShl -> fun a b -> int_bitop Shl a b
   | OpShr -> fun a b -> int_bitop Shr a b
+
+(** Resolve a unary operator or cast once, as {!binop_fn}.  The result
+    is owned; a string cast allocates a counted string. *)
+let unop_fn (op : unop) : value -> value =
+  match op with
+  | Not -> fun v -> vbool (not (to_bool v))
+  | Neg ->
+    fun v ->
+      (match to_num v with
+       | `I i -> VInt (neg_int i)
+       | `D d -> VDbl (neg_dbl d))
+  | BitNot -> fun v -> VInt (lnot (to_int v))
+  | CastInt -> fun v -> VInt (to_int v)
+  | CastDbl -> fun v -> VDbl (to_dbl v)
+  | CastBool -> fun v -> vbool (to_bool v)
+  | CastString -> fun v -> Heap.new_str (to_str v)
 
 (** [++]/[--]: the new value and the expression's result. *)
 let incdec (op : incdec_op) (old : value) : value * value =

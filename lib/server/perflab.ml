@@ -22,7 +22,7 @@ let t99 = 9.925
 type result = {
   r_weighted : float;            (* weighted avg cycles per request *)
   r_ci99 : float;                (* +- 99% confidence interval *)
-  r_code_bytes : int;
+  r_code_bytes : int;            (* budget-counted: Main, Cold and Live *)
   r_output_hash : int;           (* sanity: outputs must match across modes *)
   r_engine : Core.Engine.t;
 }
@@ -71,7 +71,7 @@ let measure (opts : Core.Jit_options.t) : result =
   in
   { r_weighted = mean;
     r_ci99 = t99 *. sqrt var /. sqrt n;
-    r_code_bytes = Core.Engine.code_bytes eng;
+    r_code_bytes = Simcpu.Codecache.bytes_counted eng.Core.Engine.cache;
     r_output_hash = !out_hash;
     r_engine = eng }
 

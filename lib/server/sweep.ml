@@ -2,7 +2,7 @@
     JITed-code budget.
 
     The baseline runs with an unlimited budget; its budget-counted bytes
-    ([Codecache.bytes_counted]: Main, Cold and Live, not the profiling code
+    ([Perflab.r_code_bytes]: Main, Cold and Live, not the profiling code
     retranslate-all discards) define 100%.  Each point caps the budget at
     a fraction of that; bytecode that no longer fits runs in the
     interpreter, and the harness reports relative performance and the
@@ -18,13 +18,10 @@ type point = {
 let default_fractions =
   [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0; 1.1; 1.2 ]
 
-let counted (r : Perflab.result) =
-  Simcpu.Codecache.bytes_counted r.Perflab.r_engine.Core.Engine.cache
-
 let run ?(fractions = default_fractions) () : point list * int =
   (* baseline: unlimited *)
   let base = Perflab.run Core.Jit_options.Region in
-  let base_bytes = counted base in
+  let base_bytes = base.Perflab.r_code_bytes in
   let base_cycles = base.Perflab.r_weighted in
   let points =
     List.map
@@ -38,7 +35,7 @@ let run ?(fractions = default_fractions) () : point list * int =
          (* install resets the registry, so the counter is this run's *)
          { p_fraction = f;
            p_perf_pct = 100.0 *. base_cycles /. r.Perflab.r_weighted;
-           p_code_bytes = counted r;
+           p_code_bytes = r.Perflab.r_code_bytes;
            p_rejected = Obs.Vmstats.counter_value "translate.rejected" })
       fractions
   in

@@ -18,7 +18,7 @@ type dop = Runtime.Ops.dop = DAdd | DSub | DMul | DDiv
 (** Runtime helpers: out-of-line routines implemented by the engine. *)
 type helper =
   | HGenBinop of Hhbc.Instr.binop
-  | HGenToBool
+  | HGenUnop of Hhbc.Instr.unop
   | HGenPrint
   | HPrintStr
   | HPrintInt
@@ -202,7 +202,7 @@ let is_terminal (i : 'r t) : bool =
 let helper_cycles (h : helper) : int =
   match h with
   | HGenBinop _ -> 18
-  | HGenToBool -> 12
+  | HGenUnop _ -> 12
   | HGenPrint -> 22
   | HPrintStr | HPrintInt -> 12
   | HConcat -> 24

@@ -87,7 +87,7 @@ let lower (u : Hhir.Ir.t) ~(weights : (int, int) Hashtbl.t) : int prog =
     | ConvToInt -> helper HToInt
     | ConvToDbl -> helper HToDbl
     | GenBinop op -> helper (HGenBinop op)
-    | GenConvToBool -> helper HGenToBool
+    | GenUnop op -> helper (HGenUnop op)
     | GenPrint -> helper HGenPrint
     | PrintStr -> helper HPrintStr
     | PrintInt -> helper HPrintInt

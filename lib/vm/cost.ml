@@ -27,9 +27,9 @@ let handler_cost (i : t) : int =
   | Binop (OpDiv | OpMod) -> 24
   | Binop OpConcat -> 28
   | Binop _ -> 8                       (* comparisons *)
-  | Not | Neg | BitNot -> 4
-  | CastInt | CastDbl | CastBool -> 5
-  | CastString -> 20
+  | Unop (Not | Neg | BitNot) -> 4
+  | Unop (CastInt | CastDbl | CastBool) -> 5
+  | Unop CastString -> 20
   | InstanceOf _ -> 10
   | Jmp _ | JmpZ _ | JmpNZ _ -> 3
   | RetC -> 10

@@ -551,48 +551,11 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
       Runtime.Heap.decref b;
       push fr r;
       next
-  | Not ->
+  | Unop op ->
+    let uf = Runtime.Ops.unop_fn op in
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let v = pop fr in
-      push fr (VBool (not (truthy v)));
-      Runtime.Heap.decref v;
-      next
-  | Neg ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      let v = pop fr in
-      (match to_num v with
-       | `I i -> push fr (VInt (-i))
-       | `D d -> push fr (VDbl (-.d)));
-      Runtime.Heap.decref v;
-      next
-  | BitNot ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      let v = pop fr in
-      push fr (VInt (lnot (to_int_val v)));
-      Runtime.Heap.decref v;
-      next
-  | CastInt ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      let v = pop fr in
-      push fr (VInt (to_int_val v));
-      Runtime.Heap.decref v;
-      next
-  | CastDbl ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      let v = pop fr in
-      push fr (VDbl (to_dbl_val v));
-      Runtime.Heap.decref v;
-      next
-  | CastBool ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      let v = pop fr in
-      push fr (VBool (truthy v));
-      Runtime.Heap.decref v;
-      next
-  | CastString ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      let v = pop fr in
-      push fr (Runtime.Heap.new_str (to_string_val v));
+      push fr (uf v);
       Runtime.Heap.decref v;
       next
   | InstanceOf cname ->

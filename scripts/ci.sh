@@ -8,10 +8,10 @@
 #      before and after retranslate-all; exits nonzero on any mismatch,
 #      leak or fatal),
 #   4. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
-#      env path through a multi-domain perflab serving burst, and the
-#      combined JIT_WORKERS=4 REQUEST_WORKERS=4 `bench/main.exe serving`
-#      sweep exits nonzero when per-request outputs diverge across any
-#      (jit x request) worker configuration,
+#      env path through `hhvm_run report`'s multi-domain serving burst,
+#      and the combined JIT_WORKERS=4 REQUEST_WORKERS=4
+#      `bench/main.exe serving` sweep exits nonzero when per-request
+#      outputs diverge across any (jit x request) worker configuration,
 #   5. parallel retranslate-all: `bench/main.exe retranslate` sweeps
 #      --jit-workers {1,2,4} and exits nonzero when output hashes or
 #      code-cache byte totals diverge across worker counts,
@@ -52,7 +52,7 @@ echo "== differential fuzz (seeds 1-2000) =="
 dune exec test/dbg_seeds.exe -- 1 2000
 
 echo "== parallel serving smoke (4 request workers) =="
-REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- --perflab
+REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- report
 
 echo "== combined compile x serving sweep (4x4) =="
 JIT_WORKERS=4 REQUEST_WORKERS=4 dune exec bench/main.exe -- serving

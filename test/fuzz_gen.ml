@@ -63,7 +63,7 @@ let rec gen_expr g ty depth : string =
   else
     match ty with
     | TInt ->
-      (match Random.State.int g.rand 7 with
+      (match Random.State.int g.rand 11 with
        | 0 -> Printf.sprintf "(%s + %s)" (gen_expr g TInt (depth - 1)) (gen_expr g TInt (depth - 1))
        | 1 -> Printf.sprintf "(%s - %s)" (gen_expr g TInt (depth - 1)) (gen_expr g TInt (depth - 1))
        | 2 -> Printf.sprintf "(%s * %s)" (gen_expr g TInt (depth - 1))
@@ -72,9 +72,16 @@ let rec gen_expr g ty depth : string =
                 (2 + Random.State.int g.rand 9)
        | 4 -> Printf.sprintf "strlen(%s)" (gen_expr g TStr (depth - 1))
        | 5 -> Printf.sprintf "count(%s)" (gen_expr g TArr (depth - 1))
+       (* unary operators and casts *)
+       | 6 -> Printf.sprintf "(-%s)" (gen_expr g TInt (depth - 1))
+       | 7 -> Printf.sprintf "(~%s)" (gen_expr g TInt (depth - 1))
+       | 8 ->
+         Printf.sprintf "(int)%s%s" (pick g [ "!"; "(bool)" ])
+           (gen_expr g (pick g [ TInt; TDbl; TStr ]) (depth - 1))
+       | 9 -> Printf.sprintf "(int)(string)%s" (gen_expr g TInt (depth - 1))
        | _ -> Printf.sprintf "(int)%s" (gen_expr g TDbl (depth - 1)))
     | TDbl ->
-      (match Random.State.int g.rand 5 with
+      (match Random.State.int g.rand 8 with
        | 0 -> Printf.sprintf "(%s + %s)" (gen_expr g TDbl (depth - 1)) (gen_expr g TDbl (depth - 1))
        | 1 -> Printf.sprintf "(%s * 0.5)" (gen_expr g TDbl (depth - 1))
        (* operator edges: overflow to inf, and NaN as inf - inf *)
@@ -82,11 +89,18 @@ let rec gen_expr g ty depth : string =
        | 3 ->
          Printf.sprintf "(%s * 1e300 * 1e300 - 1e300 * 1e300)"
            (gen_expr g TDbl (depth - 1))
+       | 4 -> Printf.sprintf "(-%s)" (gen_expr g TDbl (depth - 1))
+       | 5 -> Printf.sprintf "(float)%s" (gen_expr g TInt (depth - 1))
+       (* negative zero *)
+       | 6 -> Printf.sprintf "(-(float)(%s %% 1))" (gen_expr g TInt (depth - 1))
        | _ -> Printf.sprintf "(%s + 0.25)" (gen_expr g TDbl (depth - 1)))
     | TStr ->
-      (match Random.State.int g.rand 3 with
+      (match Random.State.int g.rand 4 with
        | 0 -> Printf.sprintf "(%s . %s)" (gen_expr g TStr (depth - 1)) (gen_expr g TStr (depth - 1))
        | 1 -> Printf.sprintf "(%s . %s)" (gen_expr g TStr (depth - 1)) (gen_expr g TInt (depth - 1))
+       | 2 ->
+         Printf.sprintf "(string)%s"
+           (gen_expr g (pick g [ TInt; TDbl; TStr ]) (depth - 1))
        | _ -> Printf.sprintf "substr(%s, 0, 3)" (gen_expr g TStr (depth - 1)))
     | TArr -> leaf ()
 
@@ -111,8 +125,10 @@ let mutable_vars g =
   List.filter (fun (n, _) -> not (String.length n > 2 && n.[0] = 'i' && n.[1] = 'x'))
     g.vars
 
+let incdec g = pick g [ ("", "++"); ("", "--"); ("++", ""); ("--", "") ]
+
 let rec gen_stmt g depth =
-  match Random.State.int g.rand 10 with
+  match Random.State.int g.rand 12 with
   | 0 | 1 ->
     let ty = pick g [ TInt; TInt; TDbl; TStr; TArr ] in
     (* generate the initializer before registering the variable, so it
@@ -178,6 +194,26 @@ let rec gen_stmt g depth =
     let a, _ = pick g (vars_of g TArr) in
     line g (Printf.sprintf "$%s[%d] = %s;" a
               (Random.State.int g.rand 4) (gen_expr g TInt 1))
+  | 9 ->
+    (* ++/-- on a number keeps its type (never a loop counter) *)
+    (match List.filter (fun (_, t) -> t = TInt || t = TDbl) (mutable_vars g) with
+     | [] -> gen_stmt g depth
+     | vars ->
+       let v, _ = pick g vars in
+       let pre, post = incdec g in
+       if Random.State.bool g.rand then line g (Printf.sprintf "%s$%s%s;" pre v post)
+       else line g (Printf.sprintf "echo %s$%s%s, \"|\";" pre v post))
+  | 10 ->
+    (* ++/-- on null: null-- stays null, null++ is 1; the local is left
+       out of [g.vars], whose types are fixed *)
+    let n = Printf.sprintf "n%d" g.fresh in
+    g.fresh <- g.fresh + 1;
+    line g (Printf.sprintf "$%s = null;" n);
+    for _ = 0 to Random.State.int g.rand 2 do
+      let pre, post = incdec g in
+      line g (Printf.sprintf "echo (%s$%s%s === null) ? \"N\" : \"v\", $%s, \"|\";"
+                pre n post n)
+    done
   | _ ->
     line g (Printf.sprintf "echo %s, \";\";" (gen_expr g TInt 1))
 

@@ -264,6 +264,56 @@ let programs = [
       }
       echo $out;
     } |});
+  (* null-- stays null: hhbbc must not assert Int on the local *)
+  ("null decrement", {|
+    function f($k) {
+      $x = null; $x--; $s = 0;
+      if ($x === null) { $s = 1; }
+      if (is_null($x)) { $s = $s + 10; }
+      return $s;
+    }
+    function main() {
+      $t = 0;
+      for ($i = 0; $i < 200; $i++) { $t = $t + f($i); }
+      echo $t, "\n";
+    } |});
+  (* hhbbc types $x Int|Dbl, so lowering negates through the generic
+     helper, which must keep the sign of -0.0 *)
+  ("generic negation of zero", {|
+    function f($c) { if ($c) { $x = 0.0; } else { $x = 1; } return -$x; }
+    function main() {
+      $s = "";
+      for ($i = 0; $i < 100; $i++) { $s = $s . f($i % 2 == 0) . ","; }
+      echo substr($s, 0, 40);
+    } |});
+  (* ++/-- on a property: through $this lowering cannot resolve the slot
+     and hands the instruction, base and all, to the interpreter; a null
+     property's result stays null *)
+  ("property increment and decrement", {|
+    class C {
+      public $p = null;
+      public $q = 5;
+      function f() {
+        $r = $this->p--; $this->q++;
+        if ($r === null) { return 1; }
+        return 0;
+      }
+    }
+    function main() {
+      $s = 0;
+      for ($i = 0; $i < 100; $i++) {
+        $c = new C();
+        $s = $s + $c->f();
+        $r = $c->p--;
+        if ($r === null) { $s = $s + 10; }
+        $r = --$c->p;
+        if ($r === null) { $s = $s + 100; }
+        $r = $c->p++;
+        if ($r === null) { $s = $s + 1000; }
+        $s = $s + $c->q;
+      }
+      echo $s;
+    } |});
 ]
 
 let tests = List.map (fun (n, s) -> differential n s) programs

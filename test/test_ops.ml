@@ -1,12 +1,19 @@
-(** Operator agreement across tiers.
+(** Operator agreement across tiers, and the soundness of the operators'
+    result types.
 
     Every tier computes MiniPHP's operators through {!Runtime.Ops}.  This
-    test checks the edges: for every operator, every pair of operand tags
-    and every pair of edge values, the AST constant folder, a one-block
-    HHIR Simplify, and SimCPU executing the typed instruction that
-    lowering picks for those tags each agree with the interpreter — or,
-    for the two folders, decline to fold.  The interpreter's answer is
-    {!Runtime.Ops.binop_fn}, the function its [Binop] handler calls. *)
+    test checks the edges: for every binary and unary operator and every
+    edge operand value, the AST constant folder, a one-block HHIR
+    Simplify, and SimCPU executing the typed instructions that lowering
+    picks for those tags each agree with the interpreter — or, for the
+    two folders, decline to fold.  The interpreter's answer is
+    {!Runtime.Ops.binop_fn} or {!Runtime.Ops.unop_fn}, the functions its
+    handlers call.
+
+    The static rules of {!Hhbc.Optype}, which hhbbc and region selection
+    trust, are swept against the same values: wherever an operator
+    yields a value, the rule's type for any operand type that value
+    inhabits must admit it. *)
 
 open Runtime
 module V = Value
@@ -29,12 +36,21 @@ let answer_of (v : V.value) : answer =
   | VStr s -> AStr s.data
   | v -> Alcotest.failf "unexpected result %s" (V.debug_string v)
 
+(* The answer of an owned result, which is released. *)
+let take (v : V.value) : answer =
+  let a = answer_of v in
+  Heap.decref v;
+  a
+
 let show = function
   | AInt n -> string_of_int n
   | ADbl d -> Printf.sprintf "%F" d
   | ABool b -> string_of_bool b
   | AStr s -> Printf.sprintf "%S" s
   | Fatal -> "fatal"
+
+let operand (v : V.value) =
+  match v with VDbl d -> show (ADbl d) | v -> V.debug_string v
 
 let agree (x : answer) (y : answer) =
   match x, y with
@@ -58,10 +74,7 @@ let ast_ops : Mphp.Ast.binop list =
 
 let interp (op : Ops.binop) a b : answer =
   match Ops.binop_fn op a b with
-  | r ->
-    let ans = answer_of r in
-    Heap.decref r;
-    ans
+  | r -> take r
   | exception V.Php_fatal _ -> Fatal
 
 (* ---- AST folder ---- *)
@@ -74,8 +87,8 @@ let literal (v : V.value) : Mphp.Ast.expr =
   | VBool b -> Bool b
   | _ -> Null
 
-let ast_fold op a b : answer option =
-  match Mphp.Ast_opt.fold_expr (Binop (op, literal a, literal b)) with
+let ast_fold (e : Mphp.Ast.expr) : answer option =
+  match Mphp.Ast_opt.fold_expr e with
   | Int n -> Some (AInt n)
   | Dbl d -> Some (ADbl d)
   | Bool v -> Some (ABool v)
@@ -125,44 +138,59 @@ let typed_op (op : Ops.binop) (ta : V.tag) (tb : V.tag)
 
 let hunit = lazy (Hhbc.Emit.compile "function f() { return 1; }")
 
-(* One block: two constants, optional conversions, the typed op, RetC.
-   Returns the unit and the op's instruction. *)
-let build (op : Ir.op) a b ~cvt_a ~cvt_b : Ir.t * Ir.instr =
+(* One block: a constant per operand, then a chain of steps, each an op
+   applied to the previous result and extra constants; the block returns
+   the last result.  Returns the unit and the last step's instruction. *)
+let build (operands : (V.value * (Ir.op * V.value list * R.t) list) list)
+    (combine : (Ir.op * R.t) option) : Ir.t * Ir.instr option =
   let hu = Lazy.force hunit in
   let u = Ir.create hu (Hhbc.Hunit.func hu 0) in
   let blk = Ir.new_block u in
   u.entry <- blk.b_id;
+  let last = ref None in
   let emit op args ty =
     let d = Ir.new_tmp u ty in
-    (Ir.append u blk ~dst:(Some d) ~taken:None ~bcpc:0 op args, d)
+    last := Some (Ir.append u blk ~dst:(Some d) ~taken:None ~bcpc:0 op args);
+    d
   in
-  let const (v : V.value) cvt =
-    let _, t = match v with
-      | VInt n -> emit (ConstInt n) [] R.int
-      | VDbl d -> emit (ConstDbl d) [] R.dbl
-      | VStr s -> emit (ConstStr s.data) [] R.sstr
-      | VBool x -> emit (ConstBool x) [] R.bool
-      | _ -> assert false
-    in
-    if cvt then snd (emit CvtIntToDbl [ t ] R.dbl) else t
+  let const (v : V.value) =
+    match v with
+    | VInt n -> emit (ConstInt n) [] R.int
+    | VDbl d -> emit (ConstDbl d) [] R.dbl
+    | VStr s -> emit (ConstStr s.data) [] R.sstr
+    | VBool x -> emit (ConstBool x) [] R.bool
+    | VNull -> emit ConstNull [] R.init_null
+    | _ -> assert false
   in
-  let ta = const a cvt_a in
-  let tb = const b cvt_b in
-  let i, r = emit op [ ta; tb ] R.cell in
+  let chain (v, steps) =
+    let t = const v in
+    last := None;
+    List.fold_left
+      (fun t (op, extra, ty) -> emit op (t :: List.map const extra) ty)
+      t steps
+  in
+  let args = List.map chain operands in
+  let r = match combine with
+    | Some (op, ty) -> emit op args ty
+    | None -> List.hd args
+  in
   ignore (Ir.append u blk ~dst:None ~taken:None ~bcpc:0 RetC [ r ]);
-  (u, i)
+  (u, !last)
 
-let simplify_fold op a b ~cvt_a ~cvt_b : answer option =
-  let u, i = build op a b ~cvt_a ~cvt_b in
+(* A binary op's block: each operand optionally converted from int. *)
+let binop_block op a b ~cvt_a ~cvt_b =
+  let operand v cvt = (v, if cvt then [ (Ir.CvtIntToDbl, [], R.dbl) ] else []) in
+  build [ operand a cvt_a; operand b cvt_b ] (Some (op, R.cell))
+
+let simplify_fold (u, (i : Ir.instr option)) : answer option =
   ignore (Hhir_opt.Simplify.run u);
-  match i.i_op with
-  | ConstInt n -> Some (AInt n)
-  | ConstDbl d -> Some (ADbl d)
-  | ConstBool v -> Some (ABool v)
+  match Option.map (fun (i : Ir.instr) -> i.i_op) i with
+  | Some (ConstInt n) -> Some (AInt n)
+  | Some (ConstDbl d) -> Some (ADbl d)
+  | Some (ConstBool v) -> Some (ABool v)
   | _ -> None
 
-let simcpu op a b ~cvt_a ~cvt_b : answer =
-  let u, _ = build op a b ~cvt_a ~cvt_b in
+let simcpu (u, _) : answer =
   let prog = Vasm.Vlower.lower u ~weights:(Hashtbl.create 1) in
   let ra = Vasm.Regalloc.run prog ~nregs:8 in
   let pr =
@@ -176,38 +204,41 @@ let simcpu op a b ~cvt_a ~cvt_b : answer =
   match
     Core.Exec.run (Core.Exec.create_machine ()) tr ~entry:0 ~frame ~entry_sp:0
   with
-  | XReturn v -> answer_of v
+  | XReturn v -> take v
   | _ -> Alcotest.fail "typed op did not return"
   | exception V.Php_fatal _ -> Fatal
 
-(* ---- the sweep ---- *)
+(* ---- the sweeps ---- *)
 
-let check_case op a b =
-  let vop = Mphp.Ast.vm_binop op in
-  let want = interp vop a b in
-  let case tier =
-    let operand (v : V.value) =
-      match v with VDbl d -> show (ADbl d) | v -> V.debug_string v
-    in
-    Printf.sprintf "%s: %s %s %s" tier (operand a) (Mphp.Ast.binop_name op)
-      (operand b)
-  in
+let check_against ~want ~case ~ast ~typed =
   let folded tier = function
     | Some got when want = Fatal || not (agree got want) ->
       Alcotest.failf "%s folds to %s, interpreter gives %s" (case tier)
         (show got) (show want)
     | _ -> ()
   in
-  folded "AST" (ast_fold op a b);
-  match typed_op vop (V.tag_of_value a) (V.tag_of_value b) with
+  folded "AST" ast;
+  match typed with
   | None -> 0
-  | Some (iop, cvt_a, cvt_b) ->
-    folded "HHIR" (simplify_fold iop a b ~cvt_a ~cvt_b);
-    let got = simcpu iop a b ~cvt_a ~cvt_b in
+  | Some blk ->
+    folded "HHIR" (simplify_fold (blk ()));
+    let got = simcpu (blk ()) in
     if not (agree got want) then
       Alcotest.failf "%s runs to %s, interpreter gives %s" (case "SimCPU")
         (show got) (show want);
     1
+
+let check_case op a b =
+  let vop = Mphp.Ast.vm_binop op in
+  let case tier =
+    Printf.sprintf "%s: %s %s %s" tier (operand a) (Mphp.Ast.binop_name op)
+      (operand b)
+  in
+  check_against ~want:(interp vop a b) ~case
+    ~ast:(ast_fold (Binop (op, literal a, literal b)))
+    ~typed:(Option.map
+              (fun (iop, cvt_a, cvt_b) () -> binop_block iop a b ~cvt_a ~cvt_b)
+              (typed_op vop (V.tag_of_value a) (V.tag_of_value b)))
 
 let sweep () =
   let typed = ref 0 in
@@ -222,5 +253,141 @@ let sweep () =
   Alcotest.(check bool) "typed cases ran" true (!typed > 2000);
   Alcotest.(check (list string)) "no leaks" [] (Heap.live_allocations ())
 
+let unops : Ops.unop list =
+  [ Not; Neg; BitNot; CastInt; CastDbl; CastString; CastBool ]
+
+let unop_name (op : Ops.unop) =
+  Hhbc.Instr.opcode_names.(Hhbc.Instr.opcode_id (Unop op))
+
+(* The steps [Lower] picks for a unary op on a value of this tag (after
+   [to_bool] for the truthiness ops); a non-number's negation takes the
+   generic helper. *)
+let lowered_unop (op : Ops.unop) (tag : V.tag) =
+  let to_bool = if tag = TBool then [] else [ (Ir.ConvToBool, [], R.bool) ] in
+  let to_int = if tag = TInt then [] else [ (Ir.ConvToInt, [], R.int) ] in
+  match op, tag with
+  | Not, _ -> to_bool @ [ (Ir.NotBool, [], R.bool) ]
+  | CastBool, _ -> to_bool
+  | Neg, TInt -> [ (Ir.NegInt, [], R.int) ]
+  | Neg, TDbl -> [ (Ir.NegDbl, [], R.dbl) ]
+  | Neg, _ -> [ (Ir.GenUnop Neg, [], R.num) ]
+  | BitNot, _ -> to_int @ [ (Ir.XorInt, [ V.VInt (-1) ], R.int) ]
+  | CastInt, _ -> to_int
+  | CastDbl, TDbl -> []
+  | CastDbl, TInt -> [ (Ir.CvtIntToDbl, [], R.dbl) ]
+  | CastDbl, _ -> [ (Ir.ConvToDbl, [], R.dbl) ]
+  | CastString, TStr -> []
+  | CastString, _ -> [ (Ir.ConvToStr, [], R.cstr) ]
+
+let check_unop op v =
+  let want =
+    match Ops.unop_fn op v with
+    | r -> take r
+    | exception V.Php_fatal _ -> Fatal
+  in
+  let case tier = Printf.sprintf "%s: %s %s" tier (unop_name op) (operand v) in
+  check_against ~want ~case ~ast:(ast_fold (Unop (op, literal v)))
+    ~typed:(Some (fun () ->
+        build [ (v, lowered_unop op (V.tag_of_value v)) ] None))
+
+let unary_sweep () =
+  let typed = ref 0 in
+  List.iter
+    (fun op -> List.iter (fun v -> typed := !typed + check_unop op v) edge_values)
+    unops;
+  Alcotest.(check int) "every case ran on SimCPU" (7 * 22) !typed;
+  Alcotest.(check (list string)) "no leaks" [] (Heap.live_allocations ())
+
+(* ---- result types ---- *)
+
+(* The operand types a value inhabits: its own, up through the wider
+   points the analyses reach. *)
+let types_of (v : V.value) : R.t list =
+  let t = R.of_value v in
+  t :: List.filter (R.subtype t) [ R.num; R.init_cell; R.cell ]
+
+(* [Some (f ())] where the operator yields a value *)
+let yields f = match f () with r -> Some r | exception V.Php_fatal _ -> None
+
+let incdec_ops : Ops.incdec_op list = [ PostInc; PostDec; PreInc; PreDec ]
+
+let type_sweep () =
+  let checks = ref 0 in
+  let check ~what (ty : R.t) (r : V.value) =
+    incr checks;
+    if not (R.value_matches ty r) then
+      Alcotest.failf "%s: the rule says %s, the operator gives %s" (what ())
+        (R.to_string ty) (V.debug_string r)
+  in
+  List.iter
+    (fun op ->
+       let vop = Mphp.Ast.vm_binop op in
+       List.iter
+         (fun a ->
+            List.iter
+              (fun b ->
+                 match yields (fun () -> Ops.binop_fn vop a b) with
+                 | None -> ()
+                 | Some r ->
+                   List.iter
+                     (fun ta ->
+                        List.iter
+                          (fun tb ->
+                             check (Hhbc.Optype.binop vop ta tb) r ~what:(fun () ->
+                                 Printf.sprintf "%s %s %s at %s, %s" (operand a)
+                                   (Mphp.Ast.binop_name op) (operand b)
+                                   (R.to_string ta) (R.to_string tb)))
+                          (types_of b))
+                     (types_of a);
+                   Heap.decref r)
+              edge_values)
+         edge_values)
+    ast_ops;
+  List.iter
+    (fun op ->
+       List.iter
+         (fun v ->
+            match yields (fun () -> Ops.unop_fn op v) with
+            | None -> ()
+            | Some r ->
+              List.iter
+                (fun t ->
+                   check (Hhbc.Optype.unop op t) r ~what:(fun () ->
+                       Printf.sprintf "%s %s at %s" (unop_name op) (operand v)
+                         (R.to_string t)))
+                (types_of v);
+              Heap.decref r)
+         edge_values)
+    unops;
+  List.iter
+    (fun op ->
+       (* a local may be unset, which reads as null; a property may not *)
+       List.iter
+         (fun v ->
+            let old = if v = V.VUninit then V.VNull else v in
+            match yields (fun () -> Ops.incdec op old) with
+            | None -> ()
+            | Some (nv, result) ->
+              let what t which () =
+                Printf.sprintf "%s %s at %s: %s" (Hhbc.Disasm.incdec_name op)
+                  (operand v)
+                  (R.to_string t) which
+              in
+              List.iter
+                (fun t ->
+                   let nt, rt = Hhbc.Optype.incdec op t in
+                   check nt nv ~what:(what t "the new local");
+                   check rt result ~what:(what t "the result"))
+                (types_of v);
+              if v <> V.VUninit then
+                check (Hhbc.Optype.incdec_prop op) result
+                  ~what:(what R.init_cell "the property result"))
+         (V.VUninit :: edge_values))
+    incdec_ops;
+  Alcotest.(check bool) "type checks ran" true (!checks > 20_000);
+  Alcotest.(check (list string)) "no leaks" [] (Heap.live_allocations ())
+
 let suite =
-  ("ops", [ Alcotest.test_case "every tier agrees with the interpreter" `Quick sweep ])
+  ("ops", [ Alcotest.test_case "every tier agrees with the interpreter" `Quick sweep;
+            Alcotest.test_case "unary operators agree across tiers" `Quick unary_sweep;
+            Alcotest.test_case "result types admit every value" `Quick type_sweep ])
