@@ -138,7 +138,6 @@ let run_helper (m : machine) (frame : Vm.Interp.frame) (h : helper)
     (match a 0 with
      | VObj o -> VBool (Runtime.Vclass.instanceof (Runtime.Vclass.get o.data.cls) cname)
      | _ -> VBool false)
-  | HIsType tg -> VBool (tag_of_value (a 0) = tg)
   | HCallPhp fid ->
     dispatch frame.unit_ fid args VNull
   | HCallPhpT fid ->

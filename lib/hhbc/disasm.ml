@@ -28,11 +28,8 @@ let instr_to_string ?(func : func option) (i : t) : string =
   | AddNewElemC -> "AddNewElemC"
   | AddElemC -> "AddElemC"
   | CGetL l -> "CGetL " ^ loc l
-  | CGetL2 l -> "CGetL2 " ^ loc l
-  | CGetQuietL l -> "CGetQuietL " ^ loc l
   | PushL l -> "PushL " ^ loc l
   | SetL l -> "SetL " ^ loc l
-  | PopL l -> "PopL " ^ loc l
   | PopC -> "PopC"
   | Dup -> "Dup"
   | IncDecL (l, op) -> Printf.sprintf "IncDecL %s %s" (loc l) (incdec_name op)
@@ -41,16 +38,12 @@ let instr_to_string ?(func : func option) (i : t) : string =
   | Binop op -> binop_name op
   | Unop _ -> opcode_names.(opcode_id i)
   | InstanceOf c -> "InstanceOfD " ^ c
-  | IsTypeL (l, tag) ->
-    Printf.sprintf "IsTypeL %s %s" (loc l) (Runtime.Value.tag_name tag)
   | Jmp t -> Printf.sprintf "Jmp -> %d" t
   | JmpZ t -> Printf.sprintf "JmpZ -> %d" t
   | JmpNZ t -> Printf.sprintf "JmpNZ -> %d" t
   | RetC -> "RetC"
   | Throw -> "Throw"
-  | Fatal m -> Printf.sprintf "Fatal %S" m
   | FCall (id, n) -> Printf.sprintf "FCall f%d %d" id n
-  | FCallD (name, n) -> Printf.sprintf "FCallD %S %d" name n
   | FCallBuiltin (name, n) -> Printf.sprintf "FCallBuiltin %d \"%s\"" n name
   | FCallM (name, n) -> Printf.sprintf "FCallObjMethodD %d \"%s\"" n name
   | NewObjD (c, n) -> Printf.sprintf "NewObjD \"%s\" %d" c n

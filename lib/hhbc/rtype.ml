@@ -8,7 +8,7 @@
     This single lattice is shared by hhbbc (ahead-of-time inference), region
     descriptors (preconditions/postconditions), guard relaxation, and HHIR. *)
 
-(* Bit assignments.  Keep in sync with [of_tag]. *)
+(* Bit assignments. *)
 let b_uninit = 1
 let b_null = 2
 let b_bool = 4
@@ -156,17 +156,6 @@ let definitely_counted (t : t) : bool =
   t.bits <> 0 && t.bits land lnot (b_cstr lor b_arr lor b_obj) = 0
 
 let maybe_uninit (t : t) : bool = t.bits land b_uninit <> 0
-
-let of_tag (tag : Runtime.Value.tag) : t =
-  match tag with
-  | TUninit -> uninit
-  | TNull -> init_null
-  | TBool -> bool
-  | TInt -> int
-  | TDbl -> dbl
-  | TStr -> str
-  | TArr -> arr
-  | TObj -> obj
 
 (** Most precise lattice point for a concrete runtime value (used by the
     live tracelet selector inspecting VM state, and by profiling). *)

@@ -102,8 +102,6 @@ val maybe_uninit : t -> bool
 
 (** {2 Conversions} *)
 
-val of_tag : Runtime.Value.tag -> t
-
 (** Most precise lattice point for a concrete value — what the live
     tracelet selector and profiling observe. *)
 val of_value : Runtime.Value.value -> t

@@ -90,7 +90,6 @@ type op =
   | LdObjClass                        (* obj -> int class id *)
   | InstanceOfBits of string          (* obj -> bool (bitwise check) *)
   | InstanceOfGen of string           (* boxed -> bool *)
-  | IsType of Runtime.Value.tag       (* boxed -> bool *)
   | IssetVal                          (* boxed -> bool (not null/uninit) *)
   (* ---- calls (block-terminal at bytecode level, but plain IR instrs) ---- *)
   | CallPhp of int                    (* fid; boxed args; dst boxed *)
@@ -231,7 +230,7 @@ let is_pure (op : op) : bool =
   | CvtIntToDbl
   | CmpInt _ | CmpDbl _ | CmpStr _ | EqBool
   | ConvToBool | LdObjClass
-  | CountArray | IsType _ | IssetVal
+  | CountArray | IssetVal
   | InstanceOfBits _ | InstanceOfGen _
   | Nop -> true
   | _ -> false
@@ -302,7 +301,6 @@ let op_name (op : op) : string =
   | LdObjClass -> "LdObjClass"
   | InstanceOfBits c -> Printf.sprintf "InstanceOfBits<%s>" c
   | InstanceOfGen c -> Printf.sprintf "InstanceOfGen<%s>" c
-  | IsType tg -> Printf.sprintf "IsType<%s>" (Runtime.Value.tag_name tg)
   | CallPhp fid -> Printf.sprintf "CallPhp<f%d>" fid
   | CallPhpT fid -> Printf.sprintf "CallPhpT<f%d>" fid
   | CheckMethodFid (m, fid) -> Printf.sprintf "CheckMethodFid<%s,f%d>" m fid

@@ -40,7 +40,6 @@ type helper =
   | HIssetVal
   | HInstanceOfGen of string
   | HInstanceOfBits of string
-  | HIsType of Runtime.Value.tag
   | HCallPhp of int
   | HCallPhpT of int
   | HCallMethod of string
@@ -222,7 +221,6 @@ let helper_cycles (h : helper) : int =
   | HIssetVal -> 2
   | HInstanceOfGen _ -> 10
   | HInstanceOfBits _ -> 3
-  | HIsType _ -> 2
   | HCallPhp _ | HCallPhpT _ -> 16          (* frame setup handshake *)
   | HCallMethod _ -> 30                     (* full method lookup *)
   | HCallMethodCached _ -> 8                (* inline-cache hit path *)

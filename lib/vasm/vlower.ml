@@ -109,7 +109,6 @@ let lower (u : Hhir.Ir.t) ~(weights : (int, int) Hashtbl.t) : int prog =
     | LdObjClass -> [ VLdCls (d (), a 0) ]
     | InstanceOfBits c -> helper (HInstanceOfBits c)
     | InstanceOfGen c -> helper (HInstanceOfGen c)
-    | IsType tg -> helper (HIsType tg)
     | CallPhp fid -> helper (HCallPhp fid)
     | CallPhpT fid -> helper (HCallPhpT fid)
     | CallMethodSlow m -> helper (HCallMethod m)

@@ -18,10 +18,10 @@ let handler_cost (i : t) : int =
   match i with
   | Int _ | Dbl _ | String _ | True | False | Null -> 2
   | Nop | AssertRATL _ | AssertRATStk _ -> 0
-  | CGetL _ | CGetQuietL _ | SetL _ | PopL _ | PushL _ | CGetL2 _ -> 4
+  | CGetL _ | SetL _ | PushL _ -> 4
   | PopC | Dup -> 3
   | IncDecL _ -> 5
-  | IssetL _ | UnsetL _ | IsTypeL _ -> 3
+  | IssetL _ | UnsetL _ -> 3
   | Binop (OpAdd | OpSub | OpBitAnd | OpBitOr | OpBitXor | OpShl | OpShr) -> 6
   | Binop OpMul -> 8
   | Binop (OpDiv | OpMod) -> 24
@@ -34,8 +34,7 @@ let handler_cost (i : t) : int =
   | Jmp _ | JmpZ _ | JmpNZ _ -> 3
   | RetC -> 10
   | Throw -> 40
-  | Fatal _ -> 40
-  | FCall _ | FCallD _ -> 30           (* frame setup/teardown *)
+  | FCall _ -> 30           (* frame setup/teardown *)
   | FCallBuiltin _ -> 18
   | FCallM _ -> 38                     (* + method lookup *)
   | NewObjD _ -> 45

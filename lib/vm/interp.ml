@@ -86,7 +86,7 @@ let flat_mutex = Mutex.create ()
    dense opcode id — one array load + field bump per interpreted
    instruction when stats are on, nothing else.  Registration is lazy
    *per opcode*: a cell fills the first time flattened code needs that
-   opcode's counter, instead of force-building all 59 names up front.
+   opcode's counter, instead of force-building all 53 names up front.
    Cells fill under [flat_mutex]; the handles stay valid across vmstats
    resets (reset zeroes, it does not drop). *)
 let op_counter_cells : Obs.Vmstats.counter option array =
@@ -471,23 +471,6 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
       Runtime.Heap.incref v;
       push fr v;
       next
-  | CGetQuietL l ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      let v = fr.locals.(l) in
-      let v = if is_uninit v then VNull else v in
-      Runtime.Heap.incref v;
-      push fr v;
-      next
-  | CGetL2 l ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      let t = pop fr in
-      let v = fr.locals.(l) in
-      if is_uninit v then
-        fatal "undefined variable $%s" (Hhbc.Disasm.local_name f l);
-      Runtime.Heap.incref v;
-      push fr v;
-      push fr t;
-      next
   | PushL l ->
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let v = fr.locals.(l) in
@@ -503,13 +486,6 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
       fr.locals.(l) <- v;
       (* store before releasing: a destructor running here sees the
          local already rebound (same order as compiled code) *)
-      Runtime.Heap.decref old;
-      next
-  | PopL l ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      let v = pop fr in
-      let old = fr.locals.(l) in
-      fr.locals.(l) <- v;
       Runtime.Heap.decref old;
       next
   | PopC ->
@@ -570,10 +546,6 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
       push fr (VBool r);
       Runtime.Heap.decref v;
       next
-  | IsTypeL (l, tag) ->
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      push fr (VBool (tag_of_value fr.locals.(l) = tag));
-      next
   | Jmp t -> fun fr -> fr.cyc_ <- fr.cyc_ + c; do_jump fr t
   | JmpZ t ->
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
@@ -595,39 +567,11 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
       -1
   | Throw ->
     fun fr -> fr.cyc_ <- fr.cyc_ + c; raise (Php_exception (pop fr))
-  | Fatal m -> fun fr -> fr.cyc_ <- fr.cyc_ + c; fatal "%s" m
   | FCall (fid, nargs) ->
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let args = take_args fr nargs in
       push fr (!call_dispatch fr.unit_ fid args VNull);
       next
-  | FCallD (name, nargs) ->
-    (* late-bound direct call: the unit is only known at run time (the
-       func record does not point back at it), so resolve on first
-       execution and cache — all frames of this function share one unit,
-       and a concurrent resolve is idempotent.  -2 unresolved, -1
-       builtin, >=0 function id. *)
-    let resolved = ref (-2) in
-    fun fr -> fr.cyc_ <- fr.cyc_ + c;
-      if !resolved = -2 then
-        resolved :=
-          (match Hhbc.Hunit.find_func fr.unit_ name with
-           | Some fid -> fid
-           | None -> -1);
-      let fid = !resolved in
-      if fid >= 0 then begin
-        let args = take_args fr nargs in
-        push fr (!call_dispatch fr.unit_ fid args VNull);
-        next
-      end
-      else begin
-        let args = take_args fr nargs in
-        Runtime.Ledger.charge_interp_on fr.acct (Builtins.cost name args);
-        let r = Builtins.call name args in
-        Array.iter Runtime.Heap.decref args;
-        push fr r;
-        next
-      end
   | FCallBuiltin (name, nargs) ->
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let args = take_args fr nargs in
