@@ -185,7 +185,7 @@ let micro_results () : (string * float) list =
          (let u = Hhbc.Emit.compile src in
           fun () ->
             Array.iter
-              (fun f -> ignore (Hhbbc.Infer.analyze u f))
+              (fun f -> ignore (Hhbbc.Infer.analyze f))
               u.Hhbc.Hunit.functions))
   in
   let tests =

@@ -72,8 +72,8 @@ let kill_jmp_to_next (f : func) : int =
 
 (** Nop out instructions the abstract interpreter proves unreachable.
     Exception handlers count as roots (the analysis already seeds them). *)
-let kill_unreachable (u : Hhbc.Hunit.t) (f : func) : int =
-  let states = Infer.analyze u f in
+let kill_unreachable (f : func) : int =
+  let states = Infer.analyze f in
   let code = f.fn_body in
   let changed = ref 0 in
   Array.iteri
@@ -90,7 +90,7 @@ let kill_unreachable (u : Hhbc.Hunit.t) (f : func) : int =
 let run (u : Hhbc.Hunit.t) : int =
   Array.fold_left
     (fun acc f ->
-       let n = thread_jumps f + kill_jmp_to_next f + kill_unreachable u f in
+       let n = thread_jumps f + kill_jmp_to_next f + kill_unreachable f in
        (* threading can expose more jump-to-next cases; one more round *)
        let n = n + thread_jumps f + kill_jmp_to_next f in
        (* the rewrites above mutate [fn_body] in place: drop any flattened

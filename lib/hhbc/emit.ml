@@ -530,7 +530,7 @@ let emit_fun (u : Hunit.t) ~(id : int) ~(name : string) ~(cls : string option)
     fn_num_locals = ctx.nlocals;
     fn_local_names = Array.of_list (List.rev ctx.local_names);
     fn_num_iters = ctx.niters;
-    fn_stack_max = max_stack_depth code ex;
+    fn_stack_max = Step.max_stack_depth code ex;
     fn_params_unhinted =
       List.for_all (fun p -> p.pi_hint = None) params;
     fn_body = code;

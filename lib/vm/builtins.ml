@@ -462,26 +462,3 @@ let cost (name : string) (args : value array) : int =
        10 + 4 * n)
   | "str_repeat" | "strrev" | "strtoupper" | "strtolower" | "substr" | "strpos" -> 12
   | _ -> 8
-
-(** All builtin names — used by hhbbc for return-type facts. *)
-let return_type (name : string) : Hhbc.Rtype.t =
-  let open Hhbc.Rtype in
-  match name with
-  | "count" | "sizeof" | "strlen" | "ord" | "intdiv" | "intval" -> int
-  | "array_sum" -> num
-  | "sqrt" | "floor" | "ceil" | "round" | "floatval" | "doubleval" -> dbl
-  | "substr" | "str_repeat" | "strrev" | "strtoupper" | "strtolower"
-  | "trim" | "chr" | "implode" | "join" | "strval" | "gettype"
-  | "get_class" | "number_format" | "var_dump_str" | "sprintf" | "str_pad"
-  | "ucfirst" | "lcfirst" -> str
-  | "explode" | "array_keys" | "array_values" | "array_reverse" | "sorted"
-  | "range" | "array_merge" | "array_slice" | "array_map" | "array_filter"
-  | "usorted" | "str_split" -> arr
-  | "str_contains" -> bool
-  | "is_int" | "is_integer" | "is_long" | "is_float" | "is_double"
-  | "is_string" | "is_bool" | "is_null" | "is_array" | "is_object"
-  | "is_numeric" | "in_array" | "array_key_exists" | "boolval" -> bool
-  | "mt_rand" | "rand" -> int
-  | "abs" | "max" | "min" | "pow" -> init_cell
-  | "strpos" -> join int bool
-  | _ -> init_cell

@@ -2,25 +2,28 @@
 # CI for the HHVM-JIT reproduction:
 #   1. warning-clean build audit (threads/domain deps must be declared,
 #      so a fresh `dune build` prints nothing),
-#   2. tier-1 test suite,
-#   3. differential fuzz beyond the tier-1 seeds: `test/dbg_seeds.exe`
+#   2. dead-value scan: `scripts/dead_values.sh` fails when a top-level
+#      `let` in lib/*/*.ml is named nowhere but at its definition and
+#      its own .mli `val` line,
+#   3. tier-1 test suite,
+#   4. differential fuzz beyond the tier-1 seeds: `test/dbg_seeds.exe`
 #      checks random programs 1..2000 (interp vs tracelet vs region,
 #      before and after retranslate-all; exits nonzero on any mismatch,
 #      leak or fatal),
-#   4. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
+#   5. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
 #      env path through `hhvm_run report`'s multi-domain serving burst,
 #      and the combined JIT_WORKERS=4 REQUEST_WORKERS=4
 #      `bench/main.exe serving` sweep exits nonzero when per-request
 #      outputs diverge across any (jit x request) worker configuration,
-#   5. parallel retranslate-all: `bench/main.exe retranslate` sweeps
+#   6. parallel retranslate-all: `bench/main.exe retranslate` sweeps
 #      --jit-workers {1,2,4} and exits nonzero when output hashes or
 #      code-cache byte totals diverge across worker counts,
-#   6. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
+#   7. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
 #      process, `hhvm_run serve --jumpstart` adopts it in a fresh one,
 #      and the jumpstarted run must serve with ZERO profiling
 #      translations and ZERO retranslate-alls while its output hash is
 #      bit-identical to the cold-started run's,
-#   7. tc-lifecycle smoke: `bench/main.exe tc_lifecycle` runs the
+#   8. tc-lifecycle smoke: `bench/main.exe tc_lifecycle` runs the
 #      mix-shift scenario at JIT_WORKERS=4 REQUEST_WORKERS=4 — warm on
 #      one endpoint mix, shift the mix, decay/evict/compact — and exits
 #      nonzero when nothing was evicted, on hash instability across
@@ -28,7 +31,7 @@
 #      divergence across (jit x request) worker configs; the CLI env
 #      path (`serve` with TC_EVICT_THRESHOLD/TC_COMPACT) must evict yet
 #      hash-match a plain cold serve,
-#   8. interpreter-regression gate: `bench/main.exe micro` exits nonzero
+#   9. interpreter-regression gate: `bench/main.exe micro` exits nonzero
 #      when `pipeline/interp fib(12)` is above 130us (min of batches).
 # The serving-report keys and profile sum, the startup cold-vs-jumpstart
 # invariants, the lifecycle parity invariants and the cross-mode output
@@ -44,6 +47,9 @@ if [ -n "$build_log" ]; then
   echo "ERROR: build is not warning-clean"
   exit 1
 fi
+
+echo "== dead-value scan =="
+scripts/dead_values.sh
 
 echo "== tier-1 tests =="
 dune runtest

@@ -84,7 +84,7 @@ let infer_fn src fname =
   let u = Hhbc.Emit.compile src in
   let fid = Option.get (Hhbc.Hunit.find_func u fname) in
   let f = Hhbc.Hunit.func u fid in
-  (u, f, Hhbbc.Infer.analyze u f)
+  (u, f, Hhbbc.Infer.analyze f)
 
 let infer_tests = [
   t "loop counter inferred as int" (fun () ->
