@@ -1023,7 +1023,8 @@ let retranslate_all_locked (eng : t) : int =
      on their pinned epochs) *)
   Vm.Prof.merge_pending ();
   eng.phase <- POptimized;
-  (* candidate functions, hottest first *)
+  (* candidate functions: every function with profiled blocks, in
+     function-id order; C3 below orders them by the call graph *)
   let funcs =
     Hashtbl.fold (fun fid _ acc -> fid :: acc) Region.Transcfg.blocks_by_func []
     |> List.sort_uniq compare

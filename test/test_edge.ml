@@ -165,6 +165,24 @@ let engine_tests = [
       let c = load_run ~mode:Core.Jit_options.Region src in
       Alcotest.(check string) "tracelet" a b;
       Alcotest.(check string) "region" a c);
+  t "unset of an element leaves an unset local unset" (fun () ->
+      let src = {|
+        function f($n) {
+          if ($n > 100) { $a = [1]; }
+          unset($a[0]);
+          return isset($a) ? "set" : "unset";
+        }
+        function main() {
+          $s = "";
+          for ($i = 0; $i < 20; $i++) { $s = $s . f($i); }
+          echo $s;
+        }
+      |} in
+      let a = load_run ~mode:Core.Jit_options.Interp src in
+      Alcotest.(check string) "tracelet" a
+        (load_run ~mode:Core.Jit_options.Tracelet src);
+      Alcotest.(check string) "region" a
+        (load_run ~mode:Core.Jit_options.Region src));
   t "deep recursion works compiled" (fun () ->
       let src = {|
         function down($n) { if ($n == 0) { return 0; } return 1 + down($n - 1); }

@@ -13,7 +13,9 @@
     The static rules of {!Hhbc.Optype}, which hhbbc and region selection
     trust, are swept against the same values: wherever an operator
     yields a value, the rule's type for any operand type that value
-    inhabits must admit it. *)
+    inhabits must admit it.  The step sweep does the same for every
+    opcode's {!Hhbc.Step}: each pushed value, each local and the stack
+    depth the interpreter leaves must agree with the step's. *)
 
 open Runtime
 module V = Value
@@ -387,7 +389,207 @@ let type_sweep () =
   Alcotest.(check bool) "type checks ran" true (!checks > 20_000);
   Alcotest.(check (list string)) "no leaks" [] (Heap.live_allocations ())
 
+(* ---- every opcode's step ---- *)
+
+module I = Hhbc.Instr
+
+let step_src = {|
+  class C {
+    public $p = 1;
+    function m() { return $this->p; }
+  }
+  function id($x) { return $x; }
+|}
+
+(* The operands the edge values hold none of, for the member, array,
+   iterator and object opcodes: an empty, a packed and a mixed array, and
+   an object. *)
+let containers () : V.value list =
+  let mixed =
+    Varray.of_list [ (V.KStr "k", V.VInt 1); (V.KInt 7, static "v") ]
+  in
+  [ Heap.new_arr (); V.VArr (Varray.of_values [ V.VInt 1; static "b" ]);
+    V.VArr mixed ]
+
+(* Builtins run in time and space linear in an int argument (range,
+   str_repeat, str_pad, number_format), so their operands leave out the
+   edge values that convert to huge ints. *)
+let small (v : V.value) =
+  match v with
+  | VInt n -> n >= -64 && n <= 64
+  | VDbl d -> Float.is_integer d && Float.abs d <= 64.
+  | _ -> true
+
+(* Every builtin {!Hhbc.Optype.builtin} names. *)
+let builtins = [
+  "count"; "sizeof"; "strlen"; "ord"; "intdiv"; "intval"; "array_sum";
+  "sqrt"; "floor"; "ceil"; "round"; "floatval"; "doubleval"; "substr";
+  "str_repeat"; "strrev"; "strtoupper"; "strtolower"; "trim"; "chr";
+  "implode"; "join"; "strval"; "gettype"; "get_class"; "number_format";
+  "var_dump_str"; "sprintf"; "str_pad"; "ucfirst"; "lcfirst"; "explode";
+  "array_keys"; "array_values"; "array_reverse"; "sorted"; "range";
+  "array_merge"; "array_slice"; "array_map"; "array_filter"; "usorted";
+  "str_split"; "str_contains"; "is_int"; "is_integer"; "is_long";
+  "is_float"; "is_double"; "is_string"; "is_bool"; "is_null"; "is_array";
+  "is_object"; "is_numeric"; "in_array"; "array_key_exists"; "boolval";
+  "mt_rand"; "rand"; "strpos" ]
+
+(* One case: a straight-line body (a prefix, then the opcode under test),
+   a pool of values for each stack operand (bottom first), and a pool for
+   local 0.  Local 1 starts unset. *)
+type case = {
+  body : I.t list;
+  stack : V.value list list;
+  local : V.value list;
+}
+
+let cases ~(fcall : int) ~(obj : V.value) : case list =
+  let unset = [ V.VUninit ] in
+  let values = edge_values and locals = V.VUninit :: edge_values in
+  let extras = containers () @ [ obj ] in
+  let all = edge_values @ extras in
+  let op ?(stack = []) ?(local = unset) i = { body = [ i ]; stack; local } in
+  let arrays = List.filter (function V.VArr _ -> true | _ -> false) extras in
+  let iter i = { body = [ I.IterInit (0, 2); i ]; stack = [ arrays ]; local = unset } in
+  let args n pool = List.init n (fun _ -> pool) in
+  List.map op
+    [ I.Int 1; Dbl 1.5; String "s"; True; False; Null; NewArray; NewObjD ("C", 0);
+      This; Nop; Jmp 0 ]
+  @ [ op AddNewElemC ~stack:[ all; all ];
+      op AddElemC ~stack:[ all; all; all ] ]
+  @ List.map (op ~local:(locals @ extras))
+    ([ I.CGetL 0; PushL 0; IssetL 0; UnsetL 0 ]
+     @ List.map (fun o -> I.IncDecL (0, o)) incdec_ops)
+  @ [ op (SetL 0) ~stack:[ values ] ~local:locals ]
+  @ List.map (op ~stack:[ all ]) [ I.PopC; Dup; JmpZ 0; JmpNZ 0; RetC; Throw; Print ]
+  @ List.map (fun o -> op (Binop (Mphp.Ast.vm_binop o)) ~stack:[ values; values ]) ast_ops
+  @ List.map (fun o -> op (Unop o) ~stack:[ values ]) unops
+  @ [ op (InstanceOf "C") ~stack:[ all ];
+      op (FCall (fcall, 1)) ~stack:[ all ];
+      op (FCallM ("m", 0)) ~stack:[ all ] ]
+  @ List.concat_map
+    (fun name ->
+       let pool = List.filter small all in
+       List.map (fun n -> op (FCallBuiltin (name, n)) ~stack:(args n pool)) [ 0; 1; 2 ])
+    builtins
+  @ [ op QueryM_Elem ~stack:[ all; all ];
+      op (QueryM_Prop "p") ~stack:[ all ];
+      op (SetM_ElemL 0) ~stack:[ all; all ] ~local:(locals @ extras);
+      op (SetM_NewElemL 0) ~stack:[ all ] ~local:(locals @ extras);
+      op (UnsetM_ElemL 0) ~stack:[ all ] ~local:(locals @ extras);
+      op (SetM_Prop "p") ~stack:[ all; all ];
+      op IssetM_Elem ~stack:[ all; all ];
+      op (IssetM_Prop "p") ~stack:[ all ] ]
+  @ List.map (fun o -> op (IncDecM_Prop ("p", o)) ~stack:[ all ]) incdec_ops
+  @ [ op (IterInit (0, 1)) ~stack:[ all ];
+      iter (IterKV (0, Some 1, 0)); iter (IterKV (0, None, 0));
+      iter (IterNext (0, 0)); iter (IterFree 0) ]
+
+(* every choice of one element from each list *)
+let rec product = function
+  | [] -> [ [] ]
+  | xs :: rest ->
+    let tails = product rest in
+    List.concat_map (fun x -> List.map (fun t -> x :: t) tails) xs
+
+(* Run [body] in the interpreter, one handler after another, from a frame
+   whose stack holds [operands] (bottom first) and whose local 0 holds
+   [local].  Returns the frame, or [None] where the body raises or
+   leaves the straight line. *)
+let run_body u (f : I.func) ~this_ body operands local =
+  List.iter Heap.incref (this_ :: local :: operands);
+  let fr = Vm.Interp.make_frame u f [||] this_ in
+  fr.locals.(0) <- local;
+  List.iter (Vm.Interp.push fr) operands;
+  let rec go pc = function
+    | [] -> Some fr
+    | i :: rest ->
+      let next = Vm.Interp.mk_handler f pc i fr in
+      if rest = [] || next = pc + 1 then go (pc + 1) rest else None
+  in
+  try go 0 body with V.Php_fatal _ | Vm.Interp.Php_exception _ -> None
+
+let step_sweep () =
+  let u = Vm.Loader.load step_src in
+  let run_body = run_body u in
+  let fcall = Option.get (Hhbc.Hunit.find_func u "id") in
+  let obj = Vm.Interp.new_object u "C" [||] in
+  let checks = ref 0 in
+  List.iter
+    (fun c ->
+       let f : I.func =
+         { fn_id = Hhbc.Hunit.num_funcs u; fn_name = "C::step";
+           fn_params = [||]; fn_num_locals = 2; fn_local_names = [| "x"; "k" |];
+           fn_num_iters = 1; fn_stack_max = 4; fn_params_unhinted = true;
+           fn_body = Array.of_list c.body; fn_ex_table = []; fn_cls = Some "C";
+           fn_flat = I.FlatNone }
+       in
+       List.iter
+         (fun local ->
+            List.iter
+              (fun operands ->
+                 match run_body f ~this_:obj c.body operands local with
+                 | None -> ()
+                 | Some fr ->
+                   let what tl ts =
+                     Printf.sprintf "%s on [%s] with $x = %s, at [%s] with $x : %s"
+                       (String.concat "; " (List.map Hhbc.Disasm.instr_to_string c.body))
+                       (String.concat ", " (List.map operand operands))
+                       (operand local)
+                       (String.concat ", " (List.map R.to_string ts))
+                       (R.to_string tl)
+                   in
+                   List.iter
+                     (fun (tl, ts) ->
+                        (* the step, from the operand types and local 0's *)
+                        let below = ref (List.rev ts) and pops = ref 0 in
+                        let locals = [| tl; R.uninit |] in
+                        let m =
+                          Hhbc.Step.typed
+                            ~underflow:(fun () ->
+                                incr pops;
+                                match !below with
+                                | t :: rest -> below := rest; t
+                                | [] -> Alcotest.failf "%s: pops too many" (what tl ts))
+                            ~local:(fun l -> locals.(l))
+                            ~set_local:(fun l t -> locals.(l) <- t)
+                        in
+                        List.iter (Hhbc.Step.step m ~cls:f.fn_cls) c.body;
+                        incr checks;
+                        let depth = List.length operands - !pops + List.length m.stack in
+                        if fr.sp <> depth then
+                          Alcotest.failf "%s: the step leaves depth %d, the interpreter %d"
+                            (what tl ts) depth fr.sp;
+                        List.iteri
+                          (fun j t ->
+                             let v = fr.stack.(fr.sp - 1 - j) in
+                             if not (R.value_matches t v) then
+                               Alcotest.failf "%s: the step pushes %s, the interpreter %s"
+                                 (what tl ts) (R.to_string t) (V.debug_string v))
+                          m.stack;
+                        Array.iteri
+                          (fun l t ->
+                             let v = fr.locals.(l) in
+                             if not (R.value_matches t v) then
+                               Alcotest.failf "%s: the step types local %d %s, the interpreter holds %s"
+                                 (what tl ts) l (R.to_string t) (V.debug_string v))
+                          locals)
+                     (List.concat_map
+                        (fun tl -> List.map (fun ts -> (tl, ts))
+                            (product (List.map types_of operands)))
+                        (types_of local));
+                   Vm.Interp.teardown fr)
+              (product c.stack))
+         c.local)
+    (cases ~fcall ~obj);
+  Alcotest.(check bool) "step checks ran" true (!checks > 100_000);
+  (* the bodies that raise leak the operands they had popped, and [Print]
+     wrote to the output buffer *)
+  Heap.reset ();
+  Vm.Output.reset ()
+
 let suite =
   ("ops", [ Alcotest.test_case "every tier agrees with the interpreter" `Quick sweep;
             Alcotest.test_case "unary operators agree across tiers" `Quick unary_sweep;
-            Alcotest.test_case "result types admit every value" `Quick type_sweep ])
+            Alcotest.test_case "result types admit every value" `Quick type_sweep;
+            Alcotest.test_case "every opcode's step admits the interpreter's" `Quick step_sweep ])
