@@ -379,7 +379,7 @@ let measure_serving ~(reps : int) ~(jit_workers : int)
     let requests = Server.Serving.mix ~rounds:30 () in
     (* per-burst counter deltas: warmup and retranslate also dispatch, so
        the burst's own miss/fallback/lazy-compile counts are deltas around
-       the serving run (worker shards are merged at the join, so the
+       the serving run (worker counters are absorbed at the join, so the
        post-run read sees every worker's bumps) *)
     let cv = Obs.Vmstats.counter_value in
     let m0 = cv "serving.translation_miss"

@@ -882,8 +882,9 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
                   ("dst", Obs.Trace.I rb.Rd.b_id) ];
             (* the TransCFG arc registry is main-domain state (global
                hashtables); frozen dispatch drops arcs rather than race it.
-               The per-block counters and targeted profiles still shard
-               through Vm.Prof, so worker profiling weight is not lost. *)
+               The per-block counters and targeted profiles still count
+               per domain through Vm.Prof, so worker profiling weight is
+               not lost. *)
             if not frozen then Region.Transcfg.record_arc ~src ~dst:rb.Rd.b_id
           | None -> ());
          prev_prof_block := Some rb.Rd.b_id

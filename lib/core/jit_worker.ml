@@ -14,13 +14,14 @@
     shared engine state — they compile into private buffers, and the
     caller publishes results serially afterwards.
 
-    Two pieces of observability state are virtualized per worker so task
-    bodies can use the normal probes:
+    Task bodies use the normal observability probes:
 
-    - Vmstats: each domain gets a private shard (installed in
-      domain-local storage); shards are merged into the global registry
-      after the join, so counter totals are exact for any schedule.
-    - Trace: each *task* gets a private event buffer; the buffers are
+    - Vmstats: a background domain counts into its own domain-local
+      values; after the join they are absorbed into the calling domain's,
+      so counter totals are exact for any schedule.  When the caller is
+      itself a serving worker (it fired the retranslate-all), its own
+      join carries the counts on to the main domain.
+    - Trace: each task gets a private event buffer; the buffers are
       flushed in task order after the join, when sequence numbers are
       assigned — trace output is therefore identical for any worker count
       and any schedule.
@@ -28,7 +29,7 @@
     Results are returned in task order.  A task that raises aborts nothing
     else: the exception is captured, the remaining tasks still run, and
     the first (lowest-index) exception is re-raised after the join once
-    shards and trace buffers are merged. *)
+    counters and trace buffers are merged. *)
 
 let run ~(workers : int) (tasks : (unit -> 'r) array) : 'r array =
   let n = Array.length tasks in
@@ -51,31 +52,13 @@ let run ~(workers : int) (tasks : (unit -> 'r) array) : 'r array =
         end
       done
     in
-    let run_domain () =
-      (* the calling domain may already carry a shard (a serving worker
-         that fired the retranslate trigger): save and restore it, so the
-         outer burst's routing survives this inner one *)
-      let saved = Obs.Vmstats.shard_current () in
-      let shard = Obs.Vmstats.shard_create () in
-      Obs.Vmstats.shard_install (Some shard);
-      Fun.protect
-        ~finally:(fun () -> Obs.Vmstats.shard_install saved)
-        worker_loop;
-      shard
-    in
-    Obs.Vmstats.shards_begin ();
-    Obs.Trace.buffering_begin ();
-    let shards =
-      if workers <= 1 then [| run_domain () |]
-      else begin
-        let w = min workers n in
-        let spawned = Array.init w (fun _ -> Domain.spawn run_domain) in
-        Array.map Domain.join spawned
-      end
-    in
-    Obs.Vmstats.shards_end ();
-    Obs.Trace.buffering_end ();
-    Array.iter Obs.Vmstats.shard_merge shards;
+    if workers <= 1 then worker_loop ()
+    else begin
+      let w = min workers n in
+      Array.init w (fun _ ->
+          Domain.spawn (fun () -> worker_loop (); Obs.Vmstats.local ()))
+      |> Array.iter (fun d -> Obs.Vmstats.absorb (Domain.join d))
+    end;
     Array.iter Obs.Trace.flush_buffered tracebufs;
     Array.map
       (function

@@ -22,7 +22,6 @@ type stats = {
 }
 
 let stats = { threaded = 0; dead = 0; jmp_to_next = 0 }
-let reset_stats () = stats.threaded <- 0; stats.dead <- 0; stats.jmp_to_next <- 0
 
 (** Follow a chain of unconditional jumps (and Nops) to its final target. *)
 let rec final_target (code : t array) (t : int) (fuel : int) : int =

@@ -179,8 +179,6 @@ let opcode_names : string array = [|
   "IterFree"; "AssertRATL"; "AssertRATStk"; "Nop";
 |]
 
-let opcode_count = Array.length opcode_names
-
 let binop_name = function
   | OpAdd -> "Add" | OpSub -> "Sub" | OpMul -> "Mul" | OpDiv -> "Div"
   | OpMod -> "Mod" | OpConcat -> "Concat"

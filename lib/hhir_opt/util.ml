@@ -51,5 +51,3 @@ let succs (u : t) (b : block) : int list =
     b.b_instrs
   |> List.filter (fun id -> List.mem_assoc id u.blocks)
 
-let instr_count (u : t) : int =
-  List.fold_left (fun acc (_, b) -> acc + List.length b.b_instrs) 0 u.blocks

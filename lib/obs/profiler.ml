@@ -43,11 +43,11 @@ type state = {
   jit_suffix : (int, string) Hashtbl.t; (* tr id -> cached frame suffix *)
 }
 
-let key : state Domain.DLS.key =
-  Domain.DLS.new_key
-    (fun () ->
-       { tbl = Hashtbl.create 64; root = ""; attributed = 0;
-         ops = [||]; jit_suffix = Hashtbl.create 64 })
+let fresh () : state =
+  { tbl = Hashtbl.create 64; root = ""; attributed = 0;
+    ops = [||]; jit_suffix = Hashtbl.create 64 }
+
+let key : state Domain.DLS.key = Domain.DLS.new_key fresh
 
 let local () : state = Domain.DLS.get key
 

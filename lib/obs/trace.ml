@@ -101,15 +101,10 @@ let field_json = function
     worker's domain *without* sequence numbers; the main domain flushes
     the buffers in publish order and assigns seq at flush time.  Trace
     output is therefore byte-identical for any worker count: seq follows
-    the deterministic publish order, never the racey completion order.
-    The ring and the file sink are touched only by the main domain. *)
+    the deterministic publish order, never the racey completion order. *)
 type buffered = (category * (string * field) list) list
 
 let empty_buffer : buffered = []
-
-(** True only while a parallel compile burst runs (set by the work queue
-    around the burst), so steady-state emission skips the DLS probe. *)
-let buffering_active = ref false
 
 let buffer_key : (category * (string * field) list) list ref option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -125,37 +120,41 @@ let buffer_take () : buffered =
     List.rev !b
   | None -> []
 
-let buffering_begin () = buffering_active := true
-let buffering_end () = buffering_active := false
+(* Serializes the unbuffered path: serving workers emit guard, exit and
+   link events concurrently, and [seq], the ring and the file sink are
+   shared. *)
+let mutex = Mutex.create ()
 
-(** Emit one event.  Call only under [on cat] so field lists are never
-    built for disabled categories. *)
-let rec emit (cat : category) (fields : (string * field) list) : unit =
-  let buffer =
-    if !buffering_active then Domain.DLS.get buffer_key else None
-  in
-  match buffer with
+(** Emit one event: into this domain's task buffer while a compile task
+    runs, else straight to the sinks.  Call only under [on cat] so field
+    lists are never built for disabled categories. *)
+let emit (cat : category) (fields : (string * field) list) : unit =
+  match Domain.DLS.get buffer_key with
   | Some b -> b := (cat, fields) :: !b
   | None ->
-    let buf = Buffer.create 96 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"seq\": %d, \"cat\": \"%s\"" !seq (category_name cat));
-    List.iter
-      (fun (k, v) ->
-         Buffer.add_string buf
-           (Printf.sprintf ", \"%s\": %s" (Vmstats.json_escape k) (field_json v)))
-      fields;
-    Buffer.add_string buf "}";
-    incr seq;
-    let line = Buffer.contents buf in
-    push_ring line;
-    (match !out with
-     | Some (_, oc) -> output_string oc line; output_char oc '\n'
-     | None -> ())
+    Mutex.protect mutex (fun () ->
+        let buf = Buffer.create 96 in
+        Buffer.add_string buf
+          (Printf.sprintf "{\"seq\": %d, \"cat\": \"%s\"" !seq
+             (category_name cat));
+        List.iter
+          (fun (k, v) ->
+             Buffer.add_string buf
+               (Printf.sprintf ", \"%s\": %s" (Vmstats.json_escape k)
+                  (field_json v)))
+          fields;
+        Buffer.add_string buf "}";
+        incr seq;
+        let line = Buffer.contents buf in
+        push_ring line;
+        match !out with
+        | Some (_, oc) -> output_string oc line; output_char oc '\n'
+        | None -> ())
 
 (** Replay a task's buffered events through the normal sinks, assigning
-    sequence numbers now.  Main domain only, in publish order. *)
-and flush_buffered (b : buffered) : unit =
+    sequence numbers now.  In publish order, once the task's domain has
+    been joined. *)
+let flush_buffered (b : buffered) : unit =
   List.iter (fun (cat, fields) -> emit cat fields) b
 
 (* ------------------------------------------------------------------ *)

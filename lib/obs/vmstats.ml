@@ -10,17 +10,29 @@
       chain lengths, ...);
     - {b timers}: accumulated wall-clock per named phase (HHIR pass times).
 
-    Probes hold a handle (obtained once, at module init or install) and
-    bump a mutable field through it — no hashing or allocation per event.
+    Values are {b per domain}, like [Runtime.Ledger]'s accounts.  A
+    counter, histogram or timer handle is the dense index its name got
+    when it was registered (once, at module init); its values live in
+    the calling domain's arrays (domain-local storage), so a probe is one
+    index into them — no hashing, locking or allocation per event.
+    Reads, {!reset} and the dumps see the calling domain.  A scheduler
+    that joins domains folds each joined domain's values into its own
+    with {!absorb}, so totals are exact for any schedule.  Gauges are
+    the exception: global levels that only the main domain samples.
+
     Every mutation is gated on {!enabled} (the [Jit_options.stats] knob),
     so a stats-off run pays one branch per probe.  Names are dotted paths,
     [subsystem.event] (e.g. [dispatch.mono_hit], [pass.rce.seconds]); the
     registry dumps as stable-sorted text or JSON. *)
 
-type counter = { c_name : string; mutable c_count : int }
+type counter = { c_idx : int } [@@unboxed]
+type histogram = { hg_idx : int } [@@unboxed]
+type timer = { t_idx : int } [@@unboxed]
 type gauge = { g_name : string; mutable g_value : int }
 
-type histogram = {
+(** A log2-bucketed distribution: one histogram's values on one domain,
+    or a standalone one that a report fills itself. *)
+type dist = {
   h_name : string;
   h_buckets : int array;        (* bucket i counts values in [2^(i-1), 2^i) *)
   mutable h_count : int;
@@ -30,11 +42,9 @@ type histogram = {
   mutable h_max : int;
 }
 
-type timer = {
-  t_name : string;
-  mutable t_seconds : float;
-  mutable t_calls : int;
-}
+let new_dist (name : string) : dist =
+  { h_name = name; h_buckets = Array.make 63 0;
+    h_count = 0; h_sum = 0; h_max = 0 }
 
 (** The global stats knob ([Jit_options.stats]); set at engine install. *)
 let enabled = ref true
@@ -42,152 +52,115 @@ let enabled = ref true
 let on () = !enabled
 
 (* ------------------------------------------------------------------ *)
-(* Shards (parallel compile)                                           *)
+(* Registry: names and their dense indices, process-wide               *)
 (* ------------------------------------------------------------------ *)
 
-(** A shard is a private registry delta owned by one JIT worker domain.
-    While parallel compilation runs, probes executed on a domain that has
-    a shard installed accumulate into the shard instead of the shared
-    records; the main domain merges every shard back after joining the
-    workers, so parallel compile never drops or double-counts an event.
-
-    The hot path stays cheap: [shards_active] is false except during a
-    parallel compile burst, so steady-state probes on the main domain pay
-    the same single-branch-per-probe they always did (plus one
-    always-false flag test). *)
-type shard = {
-  sd_counters : (string, int ref) Hashtbl.t;
-  sd_hist : (string, histogram) Hashtbl.t;
-  sd_timers : (string, timer) Hashtbl.t;
-}
-
-(** True only while at least one [shards_begin]/[shards_end] window is
-    open: gates the per-probe domain-local lookup so it is never paid in
-    steady state.  The windows nest (a depth count, not a flag): a
-    retranslate-all fired from inside a parallel-serving burst opens the
-    compile window while the serving window is still open, and closing
-    the inner window must not strip the serving workers of their shard
-    routing. *)
-let shards_active = ref false
-let shards_depth = Atomic.make 0
-
-let shard_key : shard option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let shard_create () : shard =
-  { sd_counters = Hashtbl.create 32;
-    sd_hist = Hashtbl.create 8;
-    sd_timers = Hashtbl.create 8 }
-
-(** Install (or clear) this domain's shard.  Worker domains install one
-    before their first task; the main domain installs one too when it
-    participates in the compile burst. *)
-let shard_install (s : shard option) : unit = Domain.DLS.set shard_key s
-
-(** This domain's currently installed shard (so a nested burst can save
-    and restore the outer one when it runs inline on this domain). *)
-let shard_current () : shard option = Domain.DLS.get shard_key
-
-let shards_begin () =
-  ignore (Atomic.fetch_and_add shards_depth 1);
-  shards_active := true
-
-let shards_end () =
-  if Atomic.fetch_and_add shards_depth (-1) = 1 then shards_active := false
-
-(* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let counters : (string, counter) Hashtbl.t = Hashtbl.create 128
+(* Registered names, by index *)
+let counter_names : string array ref = ref [||]
+let histogram_names : string array ref = ref [||]
+let timer_names : string array ref = ref [||]
 let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 32
-let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
-let timers : (string, timer) Hashtbl.t = Hashtbl.create 16
 
-let counter (name : string) : counter =
-  match Hashtbl.find_opt counters name with
-  | Some c -> c
-  | None ->
-    let c = { c_name = name; c_count = 0 } in
-    Hashtbl.replace counters name c;
-    c
+(* Guards the registry: handles may be registered and values absorbed
+   from any domain.  Never taken by a probe once its domain's arrays
+   hold every registered handle. *)
+let lock = Mutex.create ()
+
+let register (r : string array ref) (name : string) : int =
+  Mutex.protect lock (fun () ->
+      match Array.find_index (String.equal name) !r with
+      | Some i -> i
+      | None ->
+        r := Array.append !r [| name |];
+        Array.length !r - 1)
+
+let lookup (r : string array ref) (name : string) : int option =
+  Mutex.protect lock (fun () -> Array.find_index (String.equal name) !r)
+
+let counter (name : string) : counter = { c_idx = register counter_names name }
+let histogram (name : string) : histogram =
+  { hg_idx = register histogram_names name }
+let timer (name : string) : timer = { t_idx = register timer_names name }
 
 let gauge (name : string) : gauge =
-  match Hashtbl.find_opt gauges name with
-  | Some g -> g
-  | None ->
-    let g = { g_name = name; g_value = 0 } in
-    Hashtbl.replace gauges name g;
-    g
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt gauges name with
+      | Some g -> g
+      | None ->
+        let g = { g_name = name; g_value = 0 } in
+        Hashtbl.replace gauges name g;
+        g)
 
-let histogram (name : string) : histogram =
-  match Hashtbl.find_opt histograms name with
-  | Some h -> h
-  | None ->
-    let h = { h_name = name; h_buckets = Array.make 63 0;
-              h_count = 0; h_sum = 0; h_max = 0 } in
-    Hashtbl.replace histograms name h;
-    h
+(* ------------------------------------------------------------------ *)
+(* Per-domain values                                                   *)
+(* ------------------------------------------------------------------ *)
 
-let timer (name : string) : timer =
-  match Hashtbl.find_opt timers name with
-  | Some t -> t
-  | None ->
-    let t = { t_name = name; t_seconds = 0.0; t_calls = 0 } in
-    Hashtbl.replace timers name t;
-    t
+(** One domain's values, indexed by handle. *)
+type store = {
+  mutable counts : int array;
+  mutable dists : dist array;
+  mutable seconds : float array;
+  mutable calls : int array;
+}
+
+(* Grow [s]'s arrays to hold every registered handle: a domain's first
+   probe, and the first probe of a handle registered after that. *)
+let fit (s : store) : unit =
+  Mutex.protect lock (fun () ->
+      let extend a n fill =
+        let k = Array.length a in
+        if k >= n then a
+        else Array.init n (fun i -> if i < k then a.(i) else fill i)
+      in
+      let nt = Array.length !timer_names in
+      s.counts <-
+        extend s.counts (Array.length !counter_names) (fun _ -> 0);
+      s.dists <-
+        extend s.dists (Array.length !histogram_names)
+          (fun i -> new_dist !histogram_names.(i));
+      s.seconds <- extend s.seconds nt (fun _ -> 0.0);
+      s.calls <- extend s.calls nt (fun _ -> 0))
+
+let key : store Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let s = { counts = [||]; dists = [||]; seconds = [||]; calls = [||] } in
+      fit s;
+      s)
+
+(** This domain's values: what a joined domain hands its scheduler for
+    {!absorb}. *)
+let local () : store = Domain.DLS.get key
+
+(** This domain's counter array, holding every counter registered so far.
+    The interpreter's dispatch loop fetches it once per activation and
+    bumps [interp.op.*] through it by index.  The array is replaced only
+    when a handle registered after it was sized is probed; every handle
+    in [lib] is registered at module init, so a held array stays live. *)
+let counts () : int array =
+  let s = local () in
+  if Array.length s.counts < Array.length !counter_names then fit s;
+  s.counts
+
+(** This domain's values of histogram [h]. *)
+let dist (h : histogram) : dist =
+  let s = local () in
+  if h.hg_idx >= Array.length s.dists then fit s;
+  s.dists.(h.hg_idx)
 
 (* ------------------------------------------------------------------ *)
 (* Probes (hot path)                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Shard-aware slow paths: only reached while a parallel compile burst is
-   active.  A domain without a shard (the main domain before it joins the
-   burst) still writes the shared record directly — workers are the only
-   concurrent writers and they always carry shards. *)
-
-let shard_counter (s : shard) (name : string) : int ref =
-  match Hashtbl.find_opt s.sd_counters name with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.replace s.sd_counters name r;
-    r
-
-let shard_histogram (s : shard) (name : string) : histogram =
-  match Hashtbl.find_opt s.sd_hist name with
-  | Some h -> h
-  | None ->
-    let h = { h_name = name; h_buckets = Array.make 63 0;
-              h_count = 0; h_sum = 0; h_max = 0 } in
-    Hashtbl.replace s.sd_hist name h;
-    h
-
-let shard_timer (s : shard) (name : string) : timer =
-  match Hashtbl.find_opt s.sd_timers name with
-  | Some t -> t
-  | None ->
-    let t = { t_name = name; t_seconds = 0.0; t_calls = 0 } in
-    Hashtbl.replace s.sd_timers name t;
-    t
-
-let add_slow (c : counter) (n : int) =
-  match Domain.DLS.get shard_key with
-  | Some s ->
-    let r = shard_counter s c.c_name in
-    r := !r + n
-  | None -> c.c_count <- c.c_count + n
-
-let bump (c : counter) =
-  if !enabled then
-    if !shards_active then add_slow c 1 else c.c_count <- c.c_count + 1
-
 let add (c : counter) (n : int) =
-  if !enabled then
-    if !shards_active then add_slow c n else c.c_count <- c.c_count + n
+  if !enabled then begin
+    let s = local () in
+    if c.c_idx >= Array.length s.counts then fit s;
+    s.counts.(c.c_idx) <- s.counts.(c.c_idx) + n
+  end
 
-(* gauges are level samples taken at dump time on the main domain; they are
-   never written from compile workers, so they need no shard path *)
+let bump (c : counter) = add c 1
+
+(* gauges are level samples taken at dump time on the main domain *)
 let set (g : gauge) (v : int) = if !enabled then g.g_value <- v
 
 (** High-water-mark write: keep the largest value ever set.  For levels
@@ -207,7 +180,7 @@ let bucket_of (v : int) : int =
     min !b 62
   end
 
-let observe_record (h : histogram) (v : int) =
+let observe_record (h : dist) (v : int) =
   h.h_buckets.(bucket_of v) <- h.h_buckets.(bucket_of v) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
@@ -218,7 +191,7 @@ let observe_record (h : histogram) (v : int) =
     The true maximum ([h_max]) caps the top bucket's upper edge, so tail
     estimates never exceed an observed value.  An estimator, not an exact
     order statistic — the raw samples are not retained. *)
-let percentile (h : histogram) (p : float) : float =
+let percentile (h : dist) (p : float) : float =
   if h.h_count = 0 then 0.0
   else begin
     let rank =
@@ -247,27 +220,17 @@ let percentile (h : histogram) (p : float) : float =
     min !res (float_of_int h.h_max)
   end
 
-let histogram_max (h : histogram) : int = h.h_max
+let histogram_max (h : dist) : int = h.h_max
 
 let observe (h : histogram) (v : int) =
-  if !enabled then
-    if !shards_active then
-      match Domain.DLS.get shard_key with
-      | Some s -> observe_record (shard_histogram s h.h_name) v
-      | None -> observe_record h v
-    else observe_record h v
+  if !enabled then observe_record (dist h) v
 
 let record_seconds (t : timer) (dt : float) =
   if !enabled then begin
-    let t =
-      if !shards_active then
-        match Domain.DLS.get shard_key with
-        | Some s -> shard_timer s t.t_name
-        | None -> t
-      else t
-    in
-    t.t_seconds <- t.t_seconds +. dt;
-    t.t_calls <- t.t_calls + 1
+    let s = local () in
+    if t.t_idx >= Array.length s.seconds then fit s;
+    s.seconds.(t.t_idx) <- s.seconds.(t.t_idx) +. dt;
+    s.calls.(t.t_idx) <- s.calls.(t.t_idx) + 1
   end
 
 (** Time [f], attributing its wall-clock to [t] (even if it raises). *)
@@ -280,66 +243,85 @@ let time (t : timer) (f : unit -> 'a) : 'a =
       f
   end
 
-(** Merge one worker's shard into the shared registry.  Main domain only,
-    after the worker has been joined; counter and histogram merges commute,
-    so totals are exact for any worker count or schedule. *)
-let shard_merge (s : shard) : unit =
-  Hashtbl.iter
-    (fun name r -> let c = counter name in c.c_count <- c.c_count + !r)
-    s.sd_counters;
-  Hashtbl.iter
-    (fun name (sh : histogram) ->
-       let h = histogram name in
-       Array.iteri
-         (fun i n -> h.h_buckets.(i) <- h.h_buckets.(i) + n)
-         sh.h_buckets;
-       h.h_count <- h.h_count + sh.h_count;
-       h.h_sum <- h.h_sum + sh.h_sum;
-       if sh.h_max > h.h_max then h.h_max <- sh.h_max)
-    s.sd_hist;
-  Hashtbl.iter
-    (fun name (st : timer) ->
-       let t = timer name in
-       t.t_seconds <- t.t_seconds +. st.t_seconds;
-       t.t_calls <- t.t_calls + st.t_calls)
-    s.sd_timers
+(** Fold a joined domain's values into this domain's (scheduler join).
+    Every merge commutes, so totals are exact for any join order. *)
+let absorb (w : store) : unit =
+  let s = local () in
+  fit s;
+  Array.iteri (fun i n -> s.counts.(i) <- s.counts.(i) + n) w.counts;
+  Array.iteri
+    (fun i (d : dist) ->
+       let h = s.dists.(i) in
+       Array.iteri (fun b n -> h.h_buckets.(b) <- h.h_buckets.(b) + n)
+         d.h_buckets;
+       h.h_count <- h.h_count + d.h_count;
+       h.h_sum <- h.h_sum + d.h_sum;
+       if d.h_max > h.h_max then h.h_max <- d.h_max)
+    w.dists;
+  Array.iteri (fun i x -> s.seconds.(i) <- s.seconds.(i) +. x) w.seconds;
+  Array.iteri (fun i n -> s.calls.(i) <- s.calls.(i) + n) w.calls
 
 (* ------------------------------------------------------------------ *)
-(* Reads (tests, dump)                                                 *)
+(* Reads (tests, dump): the calling domain's values                    *)
 (* ------------------------------------------------------------------ *)
+
+let at (a : 'a array) (i : int) (zero : 'a) : 'a =
+  if i < Array.length a then a.(i) else zero
+
+(** This domain's count for [c]. *)
+let count (c : counter) : int = at (local ()).counts c.c_idx 0
 
 let counter_value (name : string) : int =
-  match Hashtbl.find_opt counters name with Some c -> c.c_count | None -> 0
+  match lookup counter_names name with
+  | Some i -> count { c_idx = i }
+  | None -> 0
 
 let gauge_value (name : string) : int =
-  match Hashtbl.find_opt gauges name with Some g -> g.g_value | None -> 0
+  match Mutex.protect lock (fun () -> Hashtbl.find_opt gauges name) with
+  | Some g -> g.g_value
+  | None -> 0
 
 let timer_seconds (name : string) : float =
-  match Hashtbl.find_opt timers name with Some t -> t.t_seconds | None -> 0.0
+  match lookup timer_names name with
+  | Some i -> at (local ()).seconds i 0.0
+  | None -> 0.0
 
 let timer_calls (name : string) : int =
-  match Hashtbl.find_opt timers name with Some t -> t.t_calls | None -> 0
+  match lookup timer_names name with
+  | Some i -> at (local ()).calls i 0
+  | None -> 0
 
-(** Zero every registered value; handles stay valid (registrations are
-    per-process, values are per-engine — Engine.install resets). *)
-let reset_histogram (h : histogram) =
+let reset_dist (h : dist) =
   Array.fill h.h_buckets 0 (Array.length h.h_buckets) 0;
   h.h_count <- 0;
   h.h_sum <- 0;
   h.h_max <- 0
 
+let reset_histogram (h : histogram) = reset_dist (dist h)
+
+(** Zero this domain's values and every gauge; handles stay valid
+    (registrations are per-process, values are per-engine —
+    Engine.install resets). *)
 let reset () =
-  Hashtbl.iter (fun _ c -> c.c_count <- 0) counters;
-  Hashtbl.iter (fun _ g -> g.g_value <- 0) gauges;
-  Hashtbl.iter (fun _ h -> reset_histogram h) histograms;
-  Hashtbl.iter (fun _ t -> t.t_seconds <- 0.0; t.t_calls <- 0) timers
+  let s = local () in
+  Array.fill s.counts 0 (Array.length s.counts) 0;
+  Array.iter reset_dist s.dists;
+  Array.fill s.seconds 0 (Array.length s.seconds) 0.0;
+  Array.fill s.calls 0 (Array.length s.calls) 0;
+  Mutex.protect lock (fun () -> Hashtbl.iter (fun _ g -> g.g_value <- 0) gauges)
 
 (* ------------------------------------------------------------------ *)
 (* Dumps                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let sorted_names (tbl : (string, 'a) Hashtbl.t) : string list =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
+(* (name, index) pairs, sorted by name *)
+let sorted (r : string array ref) : (string * int) list =
+  List.sort compare (List.mapi (fun i n -> (n, i)) (Array.to_list !r))
+
+let sorted_gauges () : string list =
+  Mutex.protect lock (fun () ->
+      Hashtbl.fold (fun k _ acc -> k :: acc) gauges [])
+  |> List.sort compare
 
 let json_escape (s : string) : string =
   let buf = Buffer.create (String.length s) in
@@ -360,6 +342,7 @@ let json_escape (s : string) : string =
     histogram buckets are emitted sparsely as ["log2_buckets": {"<i>": n}]
     where bucket [i] covers values in [2^(i-1), 2^i). *)
 let to_json ?(indent = "") () : string =
+  let s = local () in
   let buf = Buffer.create 4096 in
   let pad = indent and pad2 = indent ^ "  " and pad3 = indent ^ "    " in
   let obj name emit_entries last =
@@ -380,15 +363,15 @@ let to_json ?(indent = "") () : string =
   Buffer.add_string buf (Printf.sprintf "%s{\n" pad);
   obj "counters"
     (fun () ->
-       entries (sorted_names counters)
-         (fun n ->
+       entries (sorted counter_names)
+         (fun (n, i) ->
             Buffer.add_string buf
               (Printf.sprintf "%s\"%s\": %d" pad3 (json_escape n)
-                 (counter_value n))))
+                 (at s.counts i 0))))
     false;
   obj "gauges"
     (fun () ->
-       entries (sorted_names gauges)
+       entries (sorted_gauges ())
          (fun n ->
             Buffer.add_string buf
               (Printf.sprintf "%s\"%s\": %d" pad3 (json_escape n)
@@ -396,9 +379,9 @@ let to_json ?(indent = "") () : string =
     false;
   obj "histograms"
     (fun () ->
-       entries (sorted_names histograms)
-         (fun n ->
-            let h = histogram n in
+       entries (sorted histogram_names)
+         (fun (n, i) ->
+            let h = dist { hg_idx = i } in
             let bl = ref [] in
             Array.iteri
               (fun i c -> if c > 0 then bl := Printf.sprintf "\"%d\": %d" i c :: !bl)
@@ -412,33 +395,33 @@ let to_json ?(indent = "") () : string =
     false;
   obj "timers"
     (fun () ->
-       entries (sorted_names timers)
-         (fun n ->
-            let t = timer n in
+       entries (sorted timer_names)
+         (fun (n, i) ->
             Buffer.add_string buf
               (Printf.sprintf "%s\"%s\": { \"seconds\": %.6f, \"calls\": %d }"
-                 pad3 (json_escape n) t.t_seconds t.t_calls)))
+                 pad3 (json_escape n) (at s.seconds i 0.0) (at s.calls i 0))))
     true;
   Buffer.add_string buf (Printf.sprintf "%s}" pad);
   Buffer.contents buf
 
 (** Human-readable registry dump (zero-valued counters are elided). *)
 let dump_text () : string =
+  let s = local () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "--- vmstats ---\n";
   List.iter
-    (fun n ->
-       let v = counter_value n in
+    (fun (n, i) ->
+       let v = at s.counts i 0 in
        if v <> 0 then Buffer.add_string buf (Printf.sprintf "%-40s %12d\n" n v))
-    (sorted_names counters);
+    (sorted counter_names);
   List.iter
     (fun n ->
        Buffer.add_string buf
          (Printf.sprintf "%-40s %12d  (gauge)\n" n (gauge_value n)))
-    (sorted_names gauges);
+    (sorted_gauges ());
   List.iter
-    (fun n ->
-       let h = histogram n in
+    (fun (n, i) ->
+       let h = dist { hg_idx = i } in
        if h.h_count > 0 then begin
          Buffer.add_string buf
            (Printf.sprintf "%-40s %12d  (hist; sum %d, avg %.1f)\n" n h.h_count
@@ -451,12 +434,13 @@ let dump_text () : string =
                      (if i = 0 then 0 else 1 lsl (i - 1)) (1 lsl i)))
            h.h_buckets
        end)
-    (sorted_names histograms);
+    (sorted histogram_names);
   List.iter
-    (fun n ->
-       let t = timer n in
-       if t.t_calls > 0 then
+    (fun (n, i) ->
+       let calls = at s.calls i 0 in
+       if calls > 0 then
          Buffer.add_string buf
-           (Printf.sprintf "%-40s %12.6f s (%d calls)\n" n t.t_seconds t.t_calls))
-    (sorted_names timers);
+           (Printf.sprintf "%-40s %12.6f s (%d calls)\n" n (at s.seconds i 0.0)
+              calls))
+    (sorted timer_names);
   Buffer.contents buf

@@ -14,10 +14,11 @@
       concurrent retranslate-all is adopted only at request boundaries:
       in-flight requests finish on the epoch they started with, never on
       a half-published table;
-    - profile counters are sharded per domain ([Vm.Prof.install_local])
-      and folded into the canonical profile at the retranslate-all
-      trigger, and vmstats / heap / ledger / machine counters are merged
-      at the join, so process-wide totals are exact for any schedule.
+    - profile counters accumulate per domain ([Vm.Prof.install_local])
+      and fold into the canonical profile at the retranslate-all
+      trigger, and vmstats / heap / ledger / machine counters are
+      absorbed at the join, so process-wide totals are exact for any
+      schedule.
 
     Determinism: endpoints are pure functions of their integer argument,
     requests are claimed from an atomic cursor into {e slot-per-request}
@@ -200,7 +201,7 @@ let completion (eng : Core.Engine.t) ?trigger ?each ()
 
 (* Everything a joined worker hands back for the serial merge. *)
 type worker_report = {
-  wr_shard : Obs.Vmstats.shard;
+  wr_stats : Obs.Vmstats.store;
   wr_machine : Core.Exec.machine option;
   wr_heap : Runtime.Heap.stats;
   wr_ledger : Runtime.Ledger.acct;
@@ -242,20 +243,17 @@ let run ?workers ?trigger ?each (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
       Obs.Span.merge [ Obs.Span.take () ]
     end
     else begin
-      (* Frozen fan-out.  Publish the current tables as an epoch, freeze
-         string interning (workers may intern novel constants), and shard
-         every per-domain counter family for the duration of the burst.
-         The translation-request queue restarts empty: lazy in-burst
-         translation is scoped per burst (this is the quiescent point the
-         queue's reset contract requires). *)
+      (* Frozen fan-out.  Publish the current tables as an epoch and
+         freeze string interning (workers may intern novel constants);
+         every per-domain counter family accumulates on its worker's
+         domain until the join.  The translation-request queue restarts
+         empty: lazy in-burst translation is scoped per burst (this is
+         the quiescent point the queue's reset contract requires). *)
       Core.Engine.publish_epoch eng;
       Core.Translate_queue.reset ();
       Hhbc.Hunit.freeze_interning true;
-      Obs.Vmstats.shards_begin ();
       let next = Atomic.make 0 in
       let worker () : worker_report =
-        let shard = Obs.Vmstats.shard_create () in
-        Obs.Vmstats.shard_install (Some shard);
         Core.Engine.enter_serving eng;
         Vm.Prof.install_local ();
         let continue = ref true in
@@ -271,8 +269,7 @@ let run ?workers ?trigger ?each (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
         done;
         Vm.Prof.uninstall_local ();
         let machine = Core.Engine.exit_serving () in
-        Obs.Vmstats.shard_install None;
-        { wr_shard = shard;
+        { wr_stats = Obs.Vmstats.local ();
           wr_machine = machine;
           wr_heap = Runtime.Heap.stats ();
           wr_ledger = Runtime.Ledger.acct ();
@@ -280,33 +277,27 @@ let run ?workers ?trigger ?each (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
           wr_spans = Obs.Span.take ();
           wr_prof = Obs.Profiler.take () }
       in
-      (* Dedicated drainer domain (a dedicated jit worker domain or the
-         first serve worker to win a CAS write lease — both run; the
-         lease arbitrates).  Spawned for every parallel lazy-translation
-         burst: it used to require [jit_workers >= 2] on the theory that
-         serve workers' opportunistic drains keep up on fewer cores, but
-         at exactly two request workers the lease loser has no sibling
-         left to drain for it and fell back to the interpreter by the
-         hundreds (the jw1_rw2 fallback anomaly) — the drainer is what
-         guarantees a loser's request is compiled regardless of how many
-         siblings are serving.  Compile cycles it charges land on its own
-         ledger account — background compilation, off every request's
-         measured cost, like HHVM's JIT worker threads. *)
+      (* Dedicated drainer domain, spawned for every parallel
+         lazy-translation burst.  It competes for the CAS write lease
+         with the serve workers' opportunistic drains; whoever wins
+         compiles.  It guarantees that a lease loser's request is
+         compiled however many siblings are serving, even at two
+         request workers, where a loser has no sibling left to drain for
+         it.  Compile cycles it charges land on its own ledger account —
+         background compilation, off every request's measured cost, like
+         HHVM's JIT worker threads. *)
       let stop_drainer = Atomic.make false in
       let drainer =
         if eng.Core.Engine.opts.Core.Jit_options.lazy_translate then
           Some
             (Domain.spawn (fun () ->
-                 let shard = Obs.Vmstats.shard_create () in
-                 Obs.Vmstats.shard_install (Some shard);
                  (* the drainer serves no requests: its compile cycles are
                     attributed under a "background" root, not a span *)
                  if Obs.Profiler.on () then
                    Obs.Profiler.begin_request ~root:"background";
                  Core.Jit_worker.drain_loop ~stop:stop_drainer
                    ~drain:(fun () -> Core.Engine.drain_translation_queue eng);
-                 Obs.Vmstats.shard_install None;
-                 { wr_shard = shard;
+                 { wr_stats = Obs.Vmstats.local ();
                    wr_machine = None;
                    wr_heap = Runtime.Heap.stats ();
                    wr_ledger = Runtime.Ledger.acct ();
@@ -325,13 +316,12 @@ let run ?workers ?trigger ?each (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
         | Some d -> Array.append reports [| Domain.join d |]
         | None -> reports
       in
-      Obs.Vmstats.shards_end ();
       Hhbc.Hunit.freeze_interning false;
       (* Serial merge: fold every worker's counters into the main domain's
          so process-wide totals are exact regardless of schedule. *)
       Array.iter
         (fun r ->
-           Obs.Vmstats.shard_merge r.wr_shard;
+           Obs.Vmstats.absorb r.wr_stats;
            Option.iter (Core.Engine.merge_machine eng) r.wr_machine;
            Runtime.Heap.absorb_stats r.wr_heap;
            Runtime.Ledger.absorb r.wr_ledger;
@@ -483,10 +473,7 @@ let report_json (requests : request array) (m : measured) : string =
   let mean = if n = 0 then 0.0 else float_of_int total /. float_of_int n in
   (* the log2-bucket estimator, fed independently of the vmstats knob so
      the report never depends on whether stats were on *)
-  let h =
-    { Obs.Vmstats.h_name = "request_cycles";
-      h_buckets = Array.make 63 0; h_count = 0; h_sum = 0; h_max = 0 }
-  in
+  let h = Obs.Vmstats.new_dist "request_cycles" in
   Array.iter (Obs.Vmstats.observe_record h) r.sv_cycles;
   let phase_cycles = Array.make Obs.Span.nphases 0 in
   let phase_counts = Array.make Obs.Span.nphases 0 in

@@ -35,10 +35,6 @@ let create ?(size_kb = 2) ?(ways = 4) ?(line_bytes = 64) () : t =
     lru = Array.init sets (fun _ -> Array.make ways 0);
     clock = 0; accesses = 0; misses = 0; last_line = -1 }
 
-let reset (c : t) =
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) c.tags;
-  c.clock <- 0; c.accesses <- 0; c.misses <- 0; c.last_line <- -1
-
 (** Access [addr]; returns the cycle cost of the fetch (0 on a same-line hit). *)
 let access (c : t) (addr : int) : int =
   let line = addr lsr c.line_bits in

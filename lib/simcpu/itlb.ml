@@ -38,10 +38,6 @@ let create ?(entries = 4) () : t =
     clock = 0; accesses = 0; misses = 0;
     huge = false; huge_lo = 0; huge_hi = 0; last_page = min_int }
 
-let reset (t : t) =
-  Array.fill t.pages 0 t.entries (-1);
-  t.clock <- 0; t.accesses <- 0; t.misses <- 0; t.last_page <- min_int
-
 let set_huge (t : t) ~(enabled : bool) ~(lo : int) ~(hi : int) =
   t.huge <- enabled;
   t.huge_lo <- lo;

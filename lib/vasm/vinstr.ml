@@ -186,12 +186,6 @@ let with_label (i : 'r t) (l : int) : 'r t =
   | VCheckTag (s, ty, _) -> VCheckTag (s, ty, l)
   | i -> i
 
-(** Is control transfer unconditional after this instruction? *)
-let is_terminal (i : 'r t) : bool =
-  match i with
-  | VJmp _ | VRet _ | VReqBind _ -> true
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Cost model: cycles and encoded size (bytes)                         *)
 (* ------------------------------------------------------------------ *)

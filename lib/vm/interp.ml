@@ -45,6 +45,11 @@ type frame = {
    threaded loop rebinds [acct] to the real domain account on entry. *)
 let no_acct : Runtime.Ledger.acct = Runtime.Ledger.fresh ()
 
+(* Placeholder profiler state for a probed activation with the profiler
+   off: never charged.  Fetching the domain's real state costs a
+   domain-local lookup per call, which call-heavy code pays visibly. *)
+let no_prof : Obs.Profiler.state = Obs.Profiler.fresh ()
+
 (** Result of attempting to enter compiled code at a (frame, pc) point. *)
 type enter_result =
   | NoTranslation
@@ -76,31 +81,19 @@ let add_instr_count (n : int) =
   let c = Domain.DLS.get instr_count_key in
   c := !c + n
 
-(* Serializes flattening and interp-side counter registration: serving
-   domains may take a first call to the same function concurrently, and
-   the vmstats registry is a plain hashtable.  Build paths only — never
-   taken on the dispatch hot path once a function is flattened. *)
+(* Serializes flattening: serving domains may take a first call to the
+   same function concurrently.  Build paths only — never taken on the
+   dispatch hot path once a function is flattened. *)
 let flat_mutex = Mutex.create ()
 
-(* Per-opcode execution counters ([interp.op.<Name>]), indexed by the
-   dense opcode id — one array load + field bump per interpreted
-   instruction when stats are on, nothing else.  Registration is lazy
-   *per opcode*: a cell fills the first time flattened code needs that
-   opcode's counter, instead of force-building all 53 names up front.
-   Cells fill under [flat_mutex]; the handles stay valid across vmstats
-   resets (reset zeroes, it does not drop). *)
-let op_counter_cells : Obs.Vmstats.counter option array =
-  Array.make Hhbc.Instr.opcode_count None
-
-let op_counter (op : int) : Obs.Vmstats.counter =
-  match op_counter_cells.(op) with
-  | Some c -> c
-  | None ->
-    let c =
-      Obs.Vmstats.counter ("interp.op." ^ Hhbc.Instr.opcode_names.(op))
-    in
-    op_counter_cells.(op) <- Some c;
-    c
+(* Per-opcode execution counters ([interp.op.<Name>]): the vmstats index
+   of each opcode's counter, by dense opcode id.  All are registered
+   here, at module init, so the counter array a dispatch loop holds
+   always has a slot for every one of them. *)
+let op_counters : int array =
+  Array.map
+    (fun n -> (Obs.Vmstats.counter ("interp.op." ^ n)).Obs.Vmstats.c_idx)
+    Hhbc.Instr.opcode_names
 
 (* Register opcode names with the cycle-attribution profiler once, so
    per-opcode interp attribution renders symbolically (obs cannot depend
@@ -393,8 +386,7 @@ type flat = {
   fl_code : handler array;           (* 1:1 with fn_body *)
   fl_cost : int array;               (* pre-resolved Cost.instr_cost *)
   fl_opid : int array;               (* dense opcode ids, per pc *)
-  mutable fl_ctrs : Obs.Vmstats.counter array;
-  (* per-pc counter handles; [||] until the first stats-on activation *)
+  fl_ctrs : int array;               (* per-pc [interp.op.*] counter index *)
 }
 
 type Hhbc.Instr.flat_cache += Flat of flat
@@ -856,14 +848,15 @@ let flatten (f : func) : flat =
   let n = Array.length body in
   let dummy : handler = fun _ -> assert false in
   let code = Array.make (max n 1) dummy in
+  let opid = Array.map Hhbc.Instr.opcode_id body in
   for pc = 0 to n - 1 do
     code.(pc) <- mk_handler f pc body.(pc)
   done;
   { fl_epoch = !flat_epoch;
     fl_code = code;
     fl_cost = Cost.costs_of_body body;
-    fl_opid = Array.map Hhbc.Instr.opcode_id body;
-    fl_ctrs = [||] }
+    fl_opid = opid;
+    fl_ctrs = Array.map (fun op -> op_counters.(op)) opid }
 
 (** The function's flat form, building and caching it on first use.
     Serving domains can race to a first call: the build is serialized
@@ -882,19 +875,6 @@ let flat_of (f : func) : flat =
            let fl = flatten f in
            f.fn_flat <- Flat fl;
            fl)
-
-(** Per-pc counter handles for a stats-on activation, built once per
-    flat (and only for opcodes this function actually contains). *)
-let flat_ctrs (fl : flat) : Obs.Vmstats.counter array =
-  if Array.length fl.fl_ctrs > 0 || Array.length fl.fl_opid = 0 then
-    fl.fl_ctrs
-  else begin
-    Mutex.lock flat_mutex;
-    if Array.length fl.fl_ctrs = 0 then
-      fl.fl_ctrs <- Array.map op_counter fl.fl_opid;
-    Mutex.unlock flat_mutex;
-    fl.fl_ctrs
-  end
 
 (** Flatten every function of a unit eagerly (engine install): serving
     workers then never contend on the flatten mutex mid-burst, and
@@ -960,55 +940,29 @@ let rec exec_plain (code : handler array) (fr : frame) : unit =
     unwind_to_handler fr exn_v;
     exec_plain code fr
 
-(* vmstats on, counters unsharded (the single-domain common case): the
-   enabled and shard switches are activation-invariant (they flip only
-   at quiescent points), so the per-op probe is a bare field increment
-   on the pre-resolved handle — no flag derefs per instruction *)
-let rec exec_stats (code : handler array)
-    (ctrs : Obs.Vmstats.counter array) (fr : frame) : unit =
+(* vmstats or the profiler on: the production dispatch plus the per-op
+   probes.  [counts] is this domain's vmstats counter array, fetched
+   once per activation; [fl_ctrs] gives each pc's slot in it.  [fl_cost]
+   is read here only to attribute the charge per opcode — the accrual
+   itself still happens inside the handler.  The switches are
+   activation-invariant (they flip only at quiescent points). *)
+let rec exec_probed (fl : flat) (stats_on : bool) (counts : int array)
+    (prof_on : bool) (p : Obs.Profiler.state) (fr : frame) : unit =
+  let code = fl.fl_code and ctrs = fl.fl_ctrs in
   try
     while fr.pc_ >= 0 do
       let i = fr.pc_ in
       fr.icnt_ <- fr.icnt_ + 1;
-      let ct = ctrs.(i) in
-      ct.Obs.Vmstats.c_count <- ct.Obs.Vmstats.c_count + 1;
+      if stats_on then begin
+        let k = ctrs.(i) in
+        counts.(k) <- counts.(k) + 1
+      end;
+      if prof_on then Obs.Profiler.op_charge p fl.fl_opid.(i) fl.fl_cost.(i);
       fr.pc_ <- code.(i) fr
     done
   with Php_exception exn_v ->
     unwind_to_handler fr exn_v;
-    exec_stats code ctrs fr
-
-(* vmstats on with per-domain shards (parallel serving): bumps must go
-   through the sharded slow path so worker counts merge losslessly *)
-let rec exec_stats_sharded (code : handler array)
-    (ctrs : Obs.Vmstats.counter array) (fr : frame) : unit =
-  try
-    while fr.pc_ >= 0 do
-      let i = fr.pc_ in
-      fr.icnt_ <- fr.icnt_ + 1;
-      Obs.Vmstats.bump ctrs.(i);
-      fr.pc_ <- code.(i) fr
-    done
-  with Php_exception exn_v ->
-    unwind_to_handler fr exn_v;
-    exec_stats_sharded code ctrs fr
-
-(* profiler on: per-opcode cycle attribution, plus counters if also on.
-   [fl_cost] is read here only to attribute the charge per opcode — the
-   accrual itself still happens inside the handler. *)
-let rec exec_prof (fl : flat) (p : Obs.Profiler.state) (stats_on : bool)
-    (ctrs : Obs.Vmstats.counter array) (fr : frame) : unit =
-  try
-    while fr.pc_ >= 0 do
-      let i = fr.pc_ in
-      fr.icnt_ <- fr.icnt_ + 1;
-      if stats_on then Obs.Vmstats.bump ctrs.(i);
-      Obs.Profiler.op_charge p fl.fl_opid.(i) fl.fl_cost.(i);
-      fr.pc_ <- fl.fl_code.(i) fr
-    done
-  with Php_exception exn_v ->
-    unwind_to_handler fr exn_v;
-    exec_prof fl p stats_on ctrs fr
+    exec_probed fl stats_on counts prof_on p fr
 
 (** Interpret [fr] starting at [start_pc] until the function returns,
     consulting the JIT at taken-jump targets (OSR entry points).  This is
@@ -1027,17 +981,10 @@ let run (fr : frame) (start_pc : int) : value =
   let stats_on = Obs.Vmstats.on () in
   let prof_on = Obs.Profiler.on () in
   (try
-     if not (stats_on || prof_on) then
-       exec_plain fl.fl_code fr
-     else begin
-       let ctrs = if stats_on then flat_ctrs fl else [||] in
-       if prof_on then
-         exec_prof fl (Obs.Profiler.local ()) stats_on ctrs fr
-       else if !Obs.Vmstats.shards_active then
-         exec_stats_sharded fl.fl_code ctrs fr
-       else
-         exec_stats fl.fl_code ctrs fr
-     end
+     if not (stats_on || prof_on) then exec_plain fl.fl_code fr
+     else
+       exec_probed fl stats_on (Obs.Vmstats.counts ()) prof_on
+         (if prof_on then Obs.Profiler.local () else no_prof) fr
    with e ->
      flush_acct fr;
      raise e);

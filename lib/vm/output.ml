@@ -13,8 +13,6 @@ let buf () : Buffer.t = Domain.DLS.get key
 
 let write (s : string) = Buffer.add_string (buf ()) s
 
-let contents () = Buffer.contents (buf ())
-
 let reset () = Buffer.clear (buf ())
 
 (** Capture the output produced by [f]. *)

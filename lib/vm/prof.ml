@@ -9,7 +9,7 @@
       site, used by the method-dispatch optimization (§5.3.3), and function
       call counts used by function sorting (§5.1.1).
 
-    {b Sharding for parallel request serving.}  The canonical profile lives
+    {b Per-domain writes in parallel serving.}  The canonical profile lives
     in one main context; every consumer of the profile (region formation,
     C3 sorting, profile-guided dispatch) reads it.  Hot-path {e writes}
     route through a domain-local write context: on the main domain that is
@@ -30,8 +30,8 @@ type counter_id = int
    existing entries.  Retranslate-all keys its derived-structure cache
    (C3 size table, resolved method-edge list) on this, so repeated
    retranslations skip re-scanning an unchanged profile shape.  Merging a
-   worker shard bumps it only for entries the canonical profile had never
-   seen, preserving that contract. *)
+   worker's context bumps it only for entries the canonical profile had
+   never seen, preserving that contract. *)
 let version_ = ref 0
 let version () = !version_
 
@@ -182,7 +182,7 @@ let func_entry_count (fid : int) =
   let a = main_ctx.px_func_entries in
   if fid < Array.length a then a.(fid) else 0
 
-(* --- shard accumulation and merge --- *)
+(* --- per-domain accumulation and merge --- *)
 
 let clear_ctx (c : ctx) =
   Array.fill c.px_counters 0 (Array.length c.px_counters) 0;
@@ -193,7 +193,7 @@ let clear_ctx (c : ctx) =
 
 (* Additive merge of [src] into [dst].  [bump_version] marks structural
    novelty against the canonical profile (merge_pending); accumulating a
-   worker flush into the pending shard never touches the version. *)
+   worker flush into the pending accumulator never touches the version. *)
 let merge_into (dst : ctx) ~(bump_version : bool) (src : ctx) =
   Array.iteri
     (fun id n ->

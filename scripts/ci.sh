@@ -3,8 +3,9 @@
 #   1. warning-clean build audit (threads/domain deps must be declared,
 #      so a fresh `dune build` prints nothing),
 #   2. dead-value scan: `scripts/dead_values.sh` fails when a top-level
-#      `let` in lib/*/*.ml is named nowhere but at its definition and
-#      its own .mli `val` line,
+#      `let` in lib/*/*.ml is used nowhere: no `M.x` outside its module
+#      (through aliases and opens) and no bare `x` inside it beyond its
+#      definition and its own .mli `val` line,
 #   3. tier-1 test suite,
 #   4. differential fuzz beyond the tier-1 seeds: `test/dbg_seeds.exe`
 #      checks random programs 1..2000 (interp vs tracelet vs region,

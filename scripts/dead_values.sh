@@ -1,67 +1,92 @@
 #!/usr/bin/env bash
 # Dead-value scan: lists every top-level `let` (and `let rec` / `and`) in
-# lib/*/*.ml whose name occurs nowhere in lib, bin, bench, test, perfbench
-# or examples except on its own definition line and on its own .mli `val`
-# line, and exits 1 when there is any.  Occurrences are whole identifier
-# tokens in .ml/.mli files, comments included; a name shared by two
-# definitions counts for both.
+# lib/*/*.ml that nothing uses, and exits 1 when there is any.  A value
+# `x` defined in m.ml (module M) is used when
+#   - a bare `x` occurs in m.ml or m.mli other than on its own definition
+#     line and its own .mli `val` line, or
+#   - `M.x` occurs in another .ml/.mli file under lib, bin, bench, test,
+#     perfbench or examples (`A.x` counts too where `module A = ...M`), or
+#   - a bare `x` occurs in a file that opens M (`open`, `include`,
+#     `let open`, or a local `M.( ... )`).
+# Occurrences are whole identifier tokens, comments included.  Counting
+# `M.x` rather than the bare token means a dead value no longer passes
+# because another module defines the same name.
 #   scripts/dead_values.sh        # prints "file:line name" per dead value
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-dirs="lib bin bench test perfbench examples"
-files=$(find $dirs -name '*.ml' -o -name '*.mli' | grep -v '/_build/' | sort)
+exec python3 - <<'EOF'
+import glob, os, re, sys
+from collections import Counter
 
-# shellcheck disable=SC2086
-dead=$(
-  { cat $files | grep -o "[A-Za-z_][A-Za-z0-9_']*" | sort | uniq -c
-    echo "=="
-    for f in lib/*/*.ml; do
-      awk -v f="$f" '
-        /^(type|module|exception|open|include|external|class)[ \t]/ { mode = "" }
-        /^let[ \t]/ { mode = "let" }
-        (/^let[ \t]/ || (mode == "let" && /^and[ \t]/)) {
-          s = $0
-          sub(/^(let|and)[ \t]+/, "", s)
-          sub(/^rec[ \t]+/, "", s)
-          sub(/^\[@[^]]*\][ \t]*/, "", s)
-          if (match(s, /^[a-z_][A-Za-z0-9_'"'"']*/)) {
-            name = substr(s, 1, RLENGTH)
-            if (name != "_") print f, FNR, name
-          }
-        }' "$f"
-    done
-  } | awk '
-    /^==$/ { defs = 1; next }
-    !defs { count[$2] = $1; next }
-    { file = $1; line = $2; name = $3
-      own = occurrences(file, line, name)
-      mli = file "i"         # getline fails at once when there is no .mli
-      while ((getline l < mli) > 0)
-        if (l ~ ("^[ \t]*val[ \t]+" name "[ \t]*:")) own += tokens_in(l, name)
-      close(mli)
-      if (count[name] <= own) print file ":" line " " name
-    }
-    function occurrences(file, line, name,   l, n, i) {
-      n = 0; i = 0
-      while ((getline l < file) > 0) if (++i == line) { n = tokens_in(l, name); break }
-      close(file)
-      return n
-    }
-    function tokens_in(l, name,   n, t) {
-      n = 0
-      while (match(l, /[A-Za-z_][A-Za-z0-9_'"'"']*/)) {
-        t = substr(l, RSTART, RLENGTH)
-        if (t == name) n++
-        l = substr(l, RSTART + RLENGTH)
-      }
-      return n
-    }'
-)
+ID = r"[A-Za-z_][A-Za-z0-9_']*"
+MOD = r"[A-Z][A-Za-z0-9_']*"
+TOKEN = re.compile(ID)
+# `M.x`, also as the tail of a path (`Obs.Vmstats.bump` is `Vmstats.bump`)
+QUALIFIED = re.compile(r"(?<![A-Za-z0-9_'])(%s)\.([a-z_][A-Za-z0-9_']*)" % MOD)
+PATH = r"((?:%s\.)*%s)" % (MOD, MOD)
+OPENS = [re.compile(p) for p in (
+    r"\b(?:open!?|include)\s+" + PATH,
+    r"\blet\s+open!?\s+" + PATH,
+    r"(?<![A-Za-z0-9_'])" + PATH + r"\.[(\[{]",
+)]
+ALIAS = re.compile(r"\bmodule\s+(%s)\s*=\s*%s" % (MOD, PATH))
 
-if [ -n "$dead" ]; then
-  echo "$dead"
-  echo "ERROR: top-level values named only at their definition"
-  exit 1
-fi
-echo "dead-value scan: none"
+def last(path):
+    return path.split(".")[-1]
+
+files = sorted(
+    f for d in ("lib", "bin", "bench", "test", "perfbench", "examples")
+    for f in glob.glob(d + "/**/*.ml*", recursive=True)
+    if f.endswith((".ml", ".mli")) and "/_build/" not in f)
+
+bare, qualified, opened = {}, {}, {}
+for f in files:
+    text = open(f).read()
+    aliases = {a: last(p) for a, p in ALIAS.findall(text)}
+    bare[f] = Counter(TOKEN.findall(text))
+    qualified[f] = Counter((aliases.get(m, m), x)
+                           for m, x in QUALIFIED.findall(text))
+    opened[f] = {aliases.get(last(p), last(p))
+                 for r in OPENS for p in r.findall(text)}
+
+# top-level `let` / `let rec` / `and` names, as the awk scan found them
+defs = []
+for f in sorted(glob.glob("lib/*/*.ml")):
+    in_let = False
+    for n, line in enumerate(open(f), 1):
+        if re.match(r"(type|module|exception|open|include|external|class)[ \t]", line):
+            in_let = False
+        if re.match(r"let[ \t]", line):
+            in_let = True
+        elif not (in_let and re.match(r"and[ \t]", line)):
+            continue
+        s = re.sub(r"^(let|and)[ \t]+", "", line)
+        s = re.sub(r"^rec[ \t]+", "", s)
+        s = re.sub(r"^\[@[^]]*\][ \t]*", "", s)
+        m = re.match(r"[a-z_][A-Za-z0-9_']*", s)
+        if m and m.group() != "_":
+            defs.append((f, n, line, m.group()))
+
+dead = []
+for f, n, line, x in defs:
+    mod = os.path.basename(f)[:-3].capitalize()
+    own = (f, f + "i")
+    inside = sum(bare[g][x] for g in own if g in bare)
+    inside -= TOKEN.findall(line).count(x)
+    if os.path.exists(f + "i"):
+        for l in open(f + "i"):
+            if re.match(r"\s*val\s+%s\s*:" % re.escape(x), l):
+                inside -= TOKEN.findall(l).count(x)
+    outside = sum(qualified[g][(mod, x)]
+                  + (bare[g][x] if mod in opened[g] else 0)
+                  for g in files if g not in own)
+    if inside <= 0 and outside == 0:
+        dead.append("%s:%d %s" % (f, n, x))
+
+if dead:
+    print("\n".join(dead))
+    print("ERROR: top-level values named only at their definition")
+    sys.exit(1)
+print("dead-value scan: none")
+EOF

@@ -77,8 +77,8 @@ let test_primitives () =
   let h = Obs.Vmstats.histogram "test.hist" in
   Obs.Vmstats.observe h 3;
   Obs.Vmstats.observe h 300;
-  Alcotest.(check int) "hist count" 2 h.Obs.Vmstats.h_count;
-  Alcotest.(check int) "hist sum" 303 h.Obs.Vmstats.h_sum;
+  Alcotest.(check int) "hist count" 2 (Obs.Vmstats.dist h).Obs.Vmstats.h_count;
+  Alcotest.(check int) "hist sum" 303 (Obs.Vmstats.dist h).Obs.Vmstats.h_sum;
   let t = Obs.Vmstats.timer "test.timer" in
   let v = Obs.Vmstats.time t (fun () -> 99) in
   Alcotest.(check int) "timer passes result" 99 v;
@@ -89,16 +89,17 @@ let test_primitives () =
   Obs.Vmstats.observe h 5;
   ignore (Obs.Vmstats.time t (fun () -> 0));
   Obs.Vmstats.enabled := true;
-  Alcotest.(check int) "counter frozen while off" 6 c.Obs.Vmstats.c_count;
-  Alcotest.(check int) "hist frozen while off" 2 h.Obs.Vmstats.h_count;
+  Alcotest.(check int) "counter frozen while off" 6 (Obs.Vmstats.count c);
+  Alcotest.(check int) "hist frozen while off" 2
+    (Obs.Vmstats.dist h).Obs.Vmstats.h_count;
   Alcotest.(check int) "timer frozen while off" 1
     (Obs.Vmstats.timer_calls "test.timer");
   (* reset zeroes values but keeps registrations *)
   Obs.Vmstats.reset ();
   Alcotest.(check int) "counter reset" 0 (Obs.Vmstats.counter_value "test.counter");
-  Alcotest.(check int) "hist reset" 0 h.Obs.Vmstats.h_count;
+  Alcotest.(check int) "hist reset" 0 (Obs.Vmstats.dist h).Obs.Vmstats.h_count;
   Obs.Vmstats.bump c;
-  Alcotest.(check int) "handle survives reset" 1 c.Obs.Vmstats.c_count
+  Alcotest.(check int) "handle survives reset" 1 (Obs.Vmstats.count c)
 
 let test_json_shape () =
   Obs.Vmstats.enabled := true;

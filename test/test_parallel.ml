@@ -9,8 +9,11 @@
       perflab mix and a direct endpoints workload; JIT trace output (ring
       drain, seq numbers included) is stable too.
     - Vmstats exactness: compile-phase counters (region formation, pass
-      pipeline) merge from per-worker shards without loss or double
-      counting, so totals match the serial run exactly.
+      pipeline) and serving workers' counters are absorbed from each
+      worker domain without loss or double counting, so totals match the
+      serial run exactly, also for a retranslate-all nested in a burst.
+    - Trace: events that serving workers emit concurrently keep whole
+      lines and unique sequence numbers.
     - Stress: requests interleaved with repeated retranslations at 4
       workers keep producing interpreter-identical output. *)
 
@@ -296,6 +299,100 @@ let test_serving_heap_clean () =
     live_before hs.Runtime.Heap.live;
   Alcotest.(check bool) "workers' allocations were absorbed" true
     (hs.Runtime.Heap.allocated > live_before)
+
+(* ---- Vmstats exactness across request workers ---- *)
+
+let op_counter_names =
+  Array.to_list (Array.map (( ^ ) "interp.op.") Hhbc.Instr.opcode_names)
+
+(* Interp-mode serving: each worker counts every op it interprets into
+   its own domain's array, and the join absorbs them, so the per-opcode
+   totals are the same at any worker count and add up to the retired
+   instruction count.  [interp.meth_cache.*] depends on which domain
+   served what, so it is not compared. *)
+let test_vmstats_exact_serving () =
+  let op_counts w =
+    let u, eng = serving_engine ~mode:Core.Jit_options.Interp () in
+    let before = List.map Obs.Vmstats.counter_value op_counter_names in
+    let i0 = Vm.Interp.instr_count () in
+    ignore (Server.Serving.run ~workers:w u eng (Server.Serving.mix ~rounds:6 ()));
+    let counts =
+      List.map2 (fun n b -> (n, Obs.Vmstats.counter_value n - b))
+        op_counter_names before
+    in
+    (counts, Vm.Interp.instr_count () - i0)
+  in
+  let c1, _ = op_counts 1 in
+  List.iter
+    (fun w ->
+       let c, instrs = op_counts w in
+       Alcotest.(check (list (pair string int)))
+         (Printf.sprintf "interp.op.* @ %d workers" w) c1 c;
+       Alcotest.(check int)
+         (Printf.sprintf "op counts sum to retired instrs @ %d workers" w)
+         instrs
+         (List.fold_left (fun acc (_, v) -> acc + v) 0 c))
+    workers_counts;
+  Alcotest.(check bool) "ops were counted" true
+    (List.exists (fun (_, v) -> v > 0) c1)
+
+(* A retranslate-all fired on a serving worker compiles on two more
+   domains: they are absorbed into that worker, and the worker into the
+   main domain at the serving join. *)
+let test_vmstats_nested_retranslate () =
+  let opts = Core.Jit_options.default () in
+  opts.Core.Jit_options.mode <- Core.Jit_options.Region;
+  opts.Core.Jit_options.jit_workers <- 2;
+  let u, eng = Server.Serving.bring_up ~opts ~warmup:warmup_passes () in
+  let requests = Server.Serving.mix ~rounds:6 () in
+  let before = List.map Obs.Vmstats.counter_value compile_counters in
+  let trigger =
+    (Array.length requests / 3,
+     fun () -> ignore (Core.Engine.retranslate_all eng))
+  in
+  ignore (Server.Serving.run ~workers:4 ~trigger u eng requests);
+  let delta =
+    List.map2 (fun n b -> (n, Obs.Vmstats.counter_value n - b))
+      compile_counters before
+  in
+  Alcotest.(check int) "one retranslate-all in the burst" 1
+    (List.assoc "retranslate.runs" delta);
+  Alcotest.(check bool) "its compile counters reached the main domain" true
+    (List.exists
+       (fun (n, v) -> n <> "retranslate.runs" && v > 0)
+       delta)
+
+(* ---- Trace: concurrent emission from serving workers ---- *)
+
+(* Serving workers emit guard and exit events straight to the shared
+   ring during a parallel burst: each drained line must be whole and
+   carry its own sequence number. *)
+let test_trace_parallel_emit () =
+  let opts = Core.Jit_options.default () in
+  opts.Core.Jit_options.mode <- Core.Jit_options.Region;
+  let u, eng = Server.Serving.bring_up ~opts ~warmup:warmup_passes () in
+  Obs.Trace.configure ~spec:(Some "guard,exit") ();
+  ignore
+    (Server.Serving.run ~workers:4 u eng (Server.Serving.mix ~rounds:6 ()));
+  let lines = Obs.Trace.drain () in
+  Obs.Trace.configure ~spec:None ();
+  Alcotest.(check bool) "the burst traced events" true (lines <> []);
+  Alcotest.(check bool) "drained at most the ring capacity" true
+    (List.length lines <= Obs.Trace.default_ring_capacity);
+  let seq_of line =
+    match
+      Scanf.sscanf line "{\"seq\": %d, \"cat\": \"%[a-z]\"%_s@}%!"
+        (fun seq cat -> (seq, cat))
+    with
+    | seq, ("guard" | "exit") -> Some seq
+    | _ -> None
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
+  in
+  let seqs = List.filter_map seq_of lines in
+  Alcotest.(check int) "every drained line parses" (List.length lines)
+    (List.length seqs);
+  Alcotest.(check int) "every seq is unique" (List.length seqs)
+    (List.length (List.sort_uniq compare seqs))
 
 (* ---- Lazy in-burst translation (write lease + incremental publish) ---- *)
 
@@ -646,6 +743,12 @@ let suite =
         test_trace_determinism;
       Alcotest.test_case "vmstats shard-merge exactness" `Quick
         test_vmstats_exact;
+      Alcotest.test_case "vmstats: op counters exact across request workers"
+        `Quick test_vmstats_exact_serving;
+      Alcotest.test_case "vmstats: nested retranslate reaches the main domain"
+        `Quick test_vmstats_nested_retranslate;
+      Alcotest.test_case "trace: parallel emit keeps lines whole, seq unique"
+        `Quick test_trace_parallel_emit;
       Alcotest.test_case "stress: requests x retranslate" `Quick
         test_stress_interleave;
       Alcotest.test_case "serving output parity {1,2,4}" `Quick

@@ -91,13 +91,15 @@ let test_histogram_burst_reset () =
   let u, eng = warmed_engine () in
   let h = Obs.Vmstats.histogram "serving.request_cycles" in
   (* simulate warmup residue left in the registry histogram *)
-  for _ = 1 to 17 do Obs.Vmstats.observe_record h 999_999 done;
+  for _ = 1 to 17 do
+    Obs.Vmstats.observe_record (Obs.Vmstats.dist h) 999_999
+  done;
   let requests = Server.Serving.mix ~rounds:2 () in
   ignore (Server.Serving.run ~workers:1 u eng requests);
   Alcotest.(check int) "histogram holds exactly the burst's requests"
-    (Array.length requests) h.Obs.Vmstats.h_count;
+    (Array.length requests) (Obs.Vmstats.dist h).Obs.Vmstats.h_count;
   Alcotest.(check bool) "warmup residue is gone" true
-    (Obs.Vmstats.histogram_max h < 999_999)
+    (Obs.Vmstats.histogram_max (Obs.Vmstats.dist h) < 999_999)
 
 (* ---- The deterministic measured burst ---- *)
 

@@ -127,8 +127,8 @@ let test_program_parity () =
        Alcotest.(check int) (name ^ ": retired instrs") ins ins')
     programs
 
-(* Per-opcode vmstats counters: the loop bumps pre-resolved handles from
-   the flat opcode table, registered lazily per opcode. *)
+(* Per-opcode vmstats counters: the loop bumps this domain's counter
+   array at the per-pc index the flat form carries. *)
 let test_op_counter_parity () =
   let op_counts (src : string) : (string * int) list =
     let was = !Obs.Vmstats.enabled in
@@ -137,7 +137,7 @@ let test_op_counter_parity () =
       (fun () ->
          let u = Vm.Loader.load src in
          let count n =
-           (Obs.Vmstats.counter ("interp.op." ^ n)).Obs.Vmstats.c_count
+           Obs.Vmstats.count (Obs.Vmstats.counter ("interp.op." ^ n))
          in
          let before = Array.map count Hhbc.Instr.opcode_names in
          let r, _ =
