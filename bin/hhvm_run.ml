@@ -197,8 +197,10 @@ let opts_term : Core.Jit_options.t Term.t =
         $ trace $ trace_out $ spans $ snapshot_out $ snapshot_interval
         $ tc_evict_threshold $ tc_compact)
 
+type vmstats_format = Text | Json
+
 type telemetry = {
-  te_vmstats : string option;
+  te_vmstats : vmstats_format option;
   te_tc_print : int option;
   te_tc_sort : Core.Tc_print.sort_mode;
 }
@@ -206,10 +208,12 @@ type telemetry = {
 (** Post-run telemetry reports shared by every subcommand. *)
 let telemetry_term : telemetry Term.t =
   let vmstats =
-    Arg.(value & opt ~vopt:(Some "text") (some string) None
+    Arg.(value
+         & opt ~vopt:(Some Text)
+             (some (enum [ ("text", Text); ("json", Json) ])) None
          & info [ "vmstats" ] ~docv:"FMT"
            ~doc:"Dump the vmstats telemetry registry after the run \
-                 (FMT: text or json)")
+                 (FMT: text, the default, or json)")
   in
   let tc_print =
     Arg.(value & opt ~vopt:(Some 20) (some int) None
@@ -241,8 +245,9 @@ let report_telemetry (engine : Core.Engine.t) (te : telemetry) : unit =
   (match te.te_vmstats with
    | Some fmt ->
      Core.Engine.sync_vmstats engine;
-     if fmt = "json" then print_endline (Obs.Vmstats.to_json ())
-     else print_string (Obs.Vmstats.dump_text ())
+     (match fmt with
+      | Json -> print_endline (Obs.Vmstats.to_json ())
+      | Text -> print_string (Obs.Vmstats.dump_text ()))
    | None -> ());
   Obs.Trace.close ();
   Obs.Snapshot.close ()

@@ -130,10 +130,10 @@ let simulate ?(opts : Core.Jit_options.t option)
      see elevated load; we model steady arrival and measure capacity *)
   let retranslate () =
     if !ended = None then begin
-      let pause_before = Obs.Vmstats.timer_seconds "retranslate.pause_ms" in
+      let pause_before = Obs.Vmstats.timer_seconds "retranslate.pause" in
       points := background_retranslate eng;
       pause_ms :=
-        Obs.Vmstats.timer_seconds "retranslate.pause_ms" -. pause_before;
+        1000. *. (Obs.Vmstats.timer_seconds "retranslate.pause" -. pause_before);
       (* charge the relocation pause (brief stop-the-world publish) *)
       Runtime.Ledger.charge (cycles_per_minute / 20);
       end_request ()

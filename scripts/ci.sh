@@ -13,7 +13,8 @@
 #      leak or fatal),
 #   5. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
 #      env path through `hhvm_run report`'s multi-domain serving burst,
-#      and the combined JIT_WORKERS=4 REQUEST_WORKERS=4
+#      `hhvm_run report --vmstats=bogus` must exit nonzero (FMT is text
+#      or json), and the combined JIT_WORKERS=4 REQUEST_WORKERS=4
 #      `bench/main.exe serving` sweep exits nonzero when per-request
 #      outputs diverge across any (jit x request) worker configuration,
 #   6. parallel retranslate-all: `bench/main.exe retranslate` sweeps
@@ -60,6 +61,12 @@ dune exec test/dbg_seeds.exe -- 1 2000
 
 echo "== parallel serving smoke (4 request workers) =="
 REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- report
+
+echo "== --vmstats takes only text or json =="
+if dune exec bin/hhvm_run.exe -- report --vmstats=bogus > /dev/null 2>&1; then
+  echo "ERROR: hhvm_run report --vmstats=bogus exited 0"
+  exit 1
+fi
 
 echo "== combined compile x serving sweep (4x4) =="
 JIT_WORKERS=4 REQUEST_WORKERS=4 dune exec bench/main.exe -- serving

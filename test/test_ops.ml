@@ -204,7 +204,8 @@ let simcpu (u, _) : answer =
   in
   let frame = Vm.Interp.make_frame u.hunit u.func [||] VNull in
   match
-    Core.Exec.run (Core.Exec.create_machine ()) tr ~entry:0 ~frame ~entry_sp:0
+    Core.Exec.run (Core.Exec.create_machine ()) tr.tr_prog ~entry:0 ~frame
+      ~entry_sp:0
   with
   | XReturn v -> take v
   | _ -> Alcotest.fail "typed op did not return"
