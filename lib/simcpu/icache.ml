@@ -14,7 +14,8 @@ type t = {
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
-  (* fast path: the last line fetched *)
+  (* fast path: the last line fetched; [Exec.run] reads it to skip
+     fetches that would return 0 *)
   mutable last_line : int;
 }
 

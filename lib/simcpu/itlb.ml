@@ -15,6 +15,8 @@ type t = {
   mutable huge : bool;
   mutable huge_lo : int;      (* hot-section address range for huge pages *)
   mutable huge_hi : int;
+  (* the page of the last access; [Exec.run] reads it to skip fetches
+     that would return 0 (min_int: no page since the last [set_huge]) *)
   mutable last_page : int;
 }
 

@@ -322,6 +322,33 @@ let tests = List.map (fun (n, s) -> differential n s) programs
 
 let t name f = Alcotest.test_case name `Quick f
 
+(* What [f ()] costs on [eng]'s machine: simulated cycles, retired
+   instructions, and i-cache and I-TLB accesses and misses. *)
+let exec_traffic (eng : Core.Engine.t) (f : unit -> unit)
+  : (string * int) list =
+  let m = eng.Core.Engine.machine in
+  let ic = m.Core.Exec.icache and tlb = m.Core.Exec.itlb in
+  let open Simcpu in
+  let read () =
+    [ ("cycles", Runtime.Ledger.read ());
+      ("instructions", m.Core.Exec.instrs_executed);
+      ("i-cache accesses", ic.Icache.accesses);
+      ("i-cache misses", ic.Icache.misses);
+      ("I-TLB accesses", tlb.Itlb.accesses);
+      ("I-TLB misses", tlb.Itlb.misses) ]
+  in
+  let before = read () in
+  f ();
+  List.map2 (fun (k, a) (_, b) -> (k, b - a)) before (read ())
+
+let check_traffic (what : string) (cycles, instrs, ia, im, ta, tm)
+    (got : (string * int) list) =
+  Alcotest.(check (list (pair string int))) what
+    [ ("cycles", cycles); ("instructions", instrs);
+      ("i-cache accesses", ia); ("i-cache misses", im);
+      ("I-TLB accesses", ta); ("I-TLB misses", tm) ]
+    got
+
 let engine_tests = [
   t "region mode produces optimized translations" (fun () ->
       let src = {|
@@ -483,6 +510,95 @@ let engine_tests = [
       let on = hash_with true in
       let off = hash_with false in
       Alcotest.(check int) "hash(caches on) = hash(caches off)" on off);
+  t "destructor from a JIT decref: cycles and fetch traffic" (fun () ->
+      (* Dropping the last reference in optimized code runs __destruct, a
+         nested run on the same machine between two of the caller's
+         fetches.  Recorded from the executor that decoded every
+         instruction and fetched at each one; the outputs alone would not
+         show a caller that skips a fetch after the nested run. *)
+      let src = {|
+        function mix($a, $b) {
+          $x = $a * 7 + $b; $y = $x % 13 + $a * $b; $z = $y * 3 - $x;
+          if ($z > 100) { $z = $z % 97; } else { $z = $z + $a; }
+          return $x + $y + $z;
+        }
+        function fold($a) {
+          $t = 0;
+          for ($k = 0; $k < 3; $k++) { $t = $t + mix($a, $k) % 11; }
+          return $t;
+        }
+        class Node {
+          public $v = 0;
+          public $w = 0;
+          function __construct($v) { $this->v = $v; $this->w = fold($v); }
+          function __destruct() {
+            $this->v = mix($this->v, $this->w) + fold($this->w);
+          }
+        }
+        function main() {
+          $s = 0;
+          for ($i = 0; $i < 40; $i++) {
+            $n = new Node($i);
+            $s += $n->v + $n->w;
+            $n = null;
+            $s += 2;
+          }
+          echo $s;
+        } |} in
+      let u = Vm.Loader.load src in
+      let opts = Core.Jit_options.default () in
+      opts.mode <- Core.Jit_options.Region;
+      (* small pages, so the I-TLB sees the code move between functions *)
+      opts.huge_pages <- false;
+      let eng = Core.Engine.install ~opts u in
+      let call () =
+        let r, out =
+          Vm.Output.capture (fun () -> Vm.Interp.call_by_name u "main" [])
+        in
+        Runtime.Heap.decref r;
+        Alcotest.(check string) "output" "1421" out
+      in
+      call ();
+      Alcotest.(check bool) "optimized translations" true
+        (Core.Engine.retranslate_all eng > 0);
+      call ();
+      check_traffic "steady call" (83_838, 24_447, 2_890, 0, 880, 0)
+        (exec_traffic eng call);
+      Alcotest.(check (list string)) "no leaks" []
+        (Runtime.Heap.live_allocations ()));
+  t "fetch after a page remap and on a cut line" (fun () ->
+      (* main's optimized code is one translation on one i-cache line, so
+         each fetch but a run's first is on the i-cache's last line.  The
+         I-TLB must still see the first fetch after [Itlb.set_huge] remaps
+         pages, and each fetch that crosses a huge-page bound cutting that
+         line.  Recorded from the executor that fetched at every
+         instruction. *)
+      let u = Vm.Loader.load {| function main() { echo 7; } |} in
+      let opts = Core.Jit_options.default () in
+      opts.mode <- Core.Jit_options.Region;
+      let eng = Core.Engine.install ~opts u in
+      let call () =
+        let r, out =
+          Vm.Output.capture (fun () -> Vm.Interp.call_by_name u "main" [])
+        in
+        Runtime.Heap.decref r;
+        Alcotest.(check string) "output" "7" out
+      in
+      for _ = 1 to 3 do call () done;
+      Alcotest.(check int) "optimized translations" 1
+        (Core.Engine.retranslate_all eng);
+      call ();
+      let calls f () = for _ = 1 to 10 do f (); call () done in
+      let tlb = eng.Core.Engine.machine.Core.Exec.itlb in
+      let lo, hi = Simcpu.Codecache.main_range eng.Core.Engine.cache in
+      check_traffic "steady" (370, 60, 0, 0, 0, 0)
+        (exec_traffic eng (calls ignore));
+      check_traffic "pages remapped before each call" (410, 60, 0, 0, 10, 1)
+        (exec_traffic eng
+           (calls (fun () -> Simcpu.Itlb.set_huge tlb ~enabled:false ~lo ~hi)));
+      Simcpu.Itlb.set_huge tlb ~enabled:true ~lo ~hi:((lo land lnot 63) + 24);
+      check_traffic "huge-page bound inside the line" (370, 60, 0, 0, 20, 0)
+        (exec_traffic eng (calls ignore)));
   t "code budget falls back to interpreter" (fun () ->
       let src = {|
         function main() { $s = 0; for ($i = 0; $i < 30; $i++) { $s += $i; } echo $s; }
