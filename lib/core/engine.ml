@@ -433,15 +433,18 @@ let guard_matches (frame : Vm.Interp.frame) (g : Rd.guard) : bool =
     && Hhbc.Rtype.value_matches g.g_type frame.stack.(frame.sp - 1 - d)
 
 (** Validate one entry's preconditions against the live state; charges the
-    simulated guard-execution cost (2 cycles per guard, as before). *)
-let entry_matches (frame : Vm.Interp.frame) (en : Translation.entry) : bool =
+    simulated guard-execution cost (2 cycles per guard, as before) to the
+    account of the domain's machine [m], and counts through its store. *)
+let entry_matches (m : Exec.machine) (frame : Vm.Interp.frame)
+    (en : Translation.entry) : bool =
   let gs = en.Translation.en_guards in
   let n = Array.length gs in
-  Runtime.Ledger.charge_jit (2 * n);
-  let rec ok i = i >= n || (guard_matches frame gs.(i) && ok (i + 1)) in
-  let matched = ok 0 in
+  Runtime.Ledger.charge_jit_on m.Exec.ledger (2 * n);
+  let i = ref 0 in
+  while !i < n && guard_matches frame gs.(!i) do incr i done;
+  let matched = !i = n in
   if not matched then begin
-    Obs.Vmstats.bump c_guard_fail;
+    Obs.Vmstats.bump_on m.Exec.vstats c_guard_fail;
     if Obs.Trace.on Obs.Trace.Guard then begin
       let b = en.Translation.en_block in
       Obs.Trace.emit Obs.Trace.Guard
@@ -457,7 +460,7 @@ let entry_matches (frame : Vm.Interp.frame) (en : Translation.entry) : bool =
     for the live state: translations in chain order, each one's entries in
     order, so the guards charged by [entry_matches] are the same for every
     caller. *)
-let chain_find (frame : Vm.Interp.frame) (sl : slot)
+let chain_find (m : Exec.machine) (frame : Vm.Interp.frame) (sl : slot)
   : (Translation.t * Translation.entry) option =
   let found = ref None in
   let i = ref 0 in
@@ -467,7 +470,7 @@ let chain_find (frame : Vm.Interp.frame) (sl : slot)
     let j = ref 0 in
     while !found = None && !j < Array.length entries do
       let en = entries.(!j) in
-      if entry_matches frame en then found := Some (tr, en);
+      if entry_matches m frame en then found := Some (tr, en);
       incr j
     done;
     incr i
@@ -480,9 +483,11 @@ let chain_find (frame : Vm.Interp.frame) (sl : slot)
     the whole retranslation chain.  On the main domain the cache lives in
     the slot itself; a serving worker ([sx]) reads the frozen epoch's
     slots and keeps the mono cache in its own domain-local table (frozen
-    slots are shared across domains and must not be written). *)
-let select_entry (eng : t) (sx : serve_ctx option) (frame : Vm.Interp.frame)
-    (pc : int) : (Translation.t * Translation.entry) option =
+    slots are shared across domains and must not be written).  [m] is
+    the domain's machine: the probes charge and count through it. *)
+let select_entry (eng : t) (sx : serve_ctx option) (m : Exec.machine)
+    (frame : Vm.Interp.frame) (pc : int)
+  : (Translation.t * Translation.entry) option =
   let fid = frame.func.fn_id in
   let slot =
     match sx with
@@ -510,24 +515,24 @@ let select_entry (eng : t) (sx : serve_ctx option) (frame : Vm.Interp.frame)
     let mono_hit =
       if eng.opts.dispatch_caches then
         match mono_get () with
-        | Some (_, en) as hit when entry_matches frame en ->
-          Obs.Vmstats.bump c_mono_hit;
+        | Some (_, en) as hit when entry_matches m frame en ->
+          Obs.Vmstats.bump_on m.Exec.vstats c_mono_hit;
           hit
         | _ ->
-          Obs.Vmstats.bump c_mono_miss;
+          Obs.Vmstats.bump_on m.Exec.vstats c_mono_miss;
           None
       else None
     in
     match mono_hit with
     | Some _ -> mono_hit
     | None ->
-      let found = chain_find frame sl in
+      let found = chain_find m frame sl in
       (match found with
        | Some _ ->
-         Obs.Vmstats.bump c_chain_hit;
-         Obs.Vmstats.observe h_chain_len sl.sl_len;
+         Obs.Vmstats.bump_on m.Exec.vstats c_chain_hit;
+         Obs.Vmstats.observe_on m.Exec.vstats h_chain_len sl.sl_len;
          if eng.opts.dispatch_caches then mono_set found
-       | None -> Obs.Vmstats.bump c_chain_miss);
+       | None -> Obs.Vmstats.bump_on m.Exec.vstats c_chain_miss);
       found
 
 (* ------------------------------------------------------------------ *)
@@ -686,7 +691,8 @@ let drain_translation_queue (eng : t) : unit =
     answer up so it can enter the fresh code immediately, exactly like
     the single-domain lazy path; losers return [None] and interpret,
     adopting the result via the epoch delta at a later request boundary. *)
-let lazy_translate_miss (eng : t) (frame : Vm.Interp.frame) (pc : int)
+let lazy_translate_miss (eng : t) (m : Exec.machine)
+    (frame : Vm.Interp.frame) (pc : int)
     ~(via : (Translation.t * int) option)
   : (Translation.t * Translation.entry) option =
   let fid = frame.func.fn_id in
@@ -719,7 +725,7 @@ let lazy_translate_miss (eng : t) (frame : Vm.Interp.frame) (pc : int)
           match slot_at eng.trans fid pc with
           | None -> None
           | Some sl ->
-            let found = chain_find frame sl in
+            let found = chain_find m frame sl in
             if found <> None then Obs.Vmstats.bump c_lazy_entered;
             found)
     else None
@@ -776,6 +782,9 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
     | None -> eng.machine, eng.generation
     | Some c -> c.sx_machine, c.sx_epoch.ep_gen
   in
+  (* the machine's account is this domain's: a frame the interpreter
+     runs after this takes it instead of reading the domain-local key *)
+  if frame.acct == Vm.Interp.no_acct then frame.acct <- machine.Exec.ledger;
   let frozen = sx <> None in
   let prev_prof_block : int option ref = ref None in
   (* [via] is the (translation, exit id) we are chaining out of, if any:
@@ -791,14 +800,14 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
           let lk = src.Translation.tr_links.(eid) in
           if lk.Translation.lk_gen = gen then
             (match lk.Translation.lk_target with
-             | Some (_, en) as tgt when entry_matches frame en ->
-               Obs.Vmstats.bump c_link_follow;
+             | Some (_, en) as tgt when entry_matches machine frame en ->
+               Obs.Vmstats.bump_on machine.Exec.vstats c_link_follow;
                tgt
              | _ -> None)
           else begin
             (* smashed in a previous generation; dead since retranslate-all *)
             if lk.Translation.lk_target <> None then
-              Obs.Vmstats.bump c_link_stale;
+              Obs.Vmstats.bump_on machine.Exec.vstats c_link_stale;
             None
           end
         | _ -> None
@@ -807,16 +816,16 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
       | Some _ -> linked
       | None ->
         let found =
-          match select_entry eng sx frame pc with
+          match select_entry eng sx machine frame pc with
           | Some e -> Some e
           | None ->
             if frozen then begin
               (* a serving worker missed in its frozen epoch *)
-              Obs.Vmstats.bump c_serving_miss;
+              Obs.Vmstats.bump_on machine.Exec.vstats c_serving_miss;
               if eng.opts.mode = Jit_options.Interp
               || not eng.opts.lazy_translate
               then None
-              else lazy_translate_miss eng frame pc ~via
+              else lazy_translate_miss eng machine frame pc ~via
             end
             else if eng.opts.mode = Jit_options.Interp then None
             else begin
@@ -829,7 +838,7 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
               if chain_len >= eng.opts.max_live_per_srckey then None
               else
                 match compile_lazy eng frame pc with
-                | Some _ -> select_entry eng sx frame pc
+                | Some _ -> select_entry eng sx machine frame pc
                 | None -> None
             end
         in
@@ -855,7 +864,7 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
     match entry with
     | None ->
       if frozen then begin
-        Obs.Vmstats.bump c_serving_fallback;
+        Obs.Vmstats.bump_on machine.Exec.vstats c_serving_fallback;
         if Obs.Span.on () then Obs.Span.count Obs.Span.Interp
       end;
       if first then Vm.Interp.NoTranslation else Vm.Interp.Resumed pc
@@ -866,7 +875,7 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
          counter (targeted profiles, §4.1 item 4); charge its overhead at
          each entry *)
       if tr.tr_kind = Translation.KProfiling then begin
-        Runtime.Ledger.charge_jit 45;
+        Runtime.Ledger.charge_jit_on machine.Exec.ledger 45;
         if Obs.Profiler.on () then
           Obs.Profiler.record ~frames:[ "jit-instrument" ] ~cycles:45
       end;
@@ -890,14 +899,15 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
        | _ -> prev_prof_block := None);
       let entry_sp = frame.sp in
       let outcome = Exec.run machine tr.tr_prog ~entry:idx ~frame ~entry_sp in
+      let vs = machine.Exec.vstats in
       (match outcome with
-       | Exec.XReturn _ -> Obs.Vmstats.bump c_exit_return
+       | Exec.XReturn _ -> Obs.Vmstats.bump_on vs c_exit_return
        | Exec.XBind e ->
          let es = tr.tr_exits.(e) in
-         if es.es_inline <> None then Obs.Vmstats.bump c_exit_inline
-         else if es.es_interp then Obs.Vmstats.bump c_exit_interp
-         else Obs.Vmstats.bump c_exit_bind
-       | Exec.XUnwind _ -> Obs.Vmstats.bump c_exit_unwind);
+         if es.es_inline <> None then Obs.Vmstats.bump_on vs c_exit_inline
+         else if es.es_interp then Obs.Vmstats.bump_on vs c_exit_interp
+         else Obs.Vmstats.bump_on vs c_exit_bind
+       | Exec.XUnwind _ -> Obs.Vmstats.bump_on vs c_exit_unwind);
       if Obs.Trace.on Obs.Trace.Exit then
         Obs.Trace.emit Obs.Trace.Exit
           (("tr", Obs.Trace.I tr.tr_id)

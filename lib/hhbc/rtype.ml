@@ -173,9 +173,28 @@ let of_value (v : Runtime.Value.value) : t =
     obj_exact c.c_name
 
 (** Runtime check: does [v] inhabit [t]?  This is the semantics of a type
-    guard emitted from a precondition. *)
+    guard emitted from a precondition: exactly [subtype (of_value v) t],
+    decided on the value's tag, countedness, packedness and class without
+    building [of_value v]. *)
 let value_matches (t : t) (v : Runtime.Value.value) : bool =
-  subtype (of_value v) t
+  let bits = t.bits in
+  match v with
+  | VUninit -> bits land b_uninit <> 0
+  | VNull -> bits land b_null <> 0
+  | VBool _ -> bits land b_bool <> 0
+  | VInt _ -> bits land b_int <> 0
+  | VDbl _ -> bits land b_dbl <> 0
+  | VStr s ->
+    bits land (if s.rc = Runtime.Value.static_rc then b_sstr else b_cstr) <> 0
+  | VArr a ->
+    bits land b_arr <> 0
+    && (match t.arr with AAny -> true | APacked -> a.data.packed)
+  | VObj o ->
+    bits land b_obj <> 0
+    && (match t.cls with
+        | CAny -> true
+        | CExact y -> String.equal (Runtime.Vclass.get o.data.cls).c_name y
+        | CSub y -> !subclass_hook (Runtime.Vclass.get o.data.cls).c_name y)
 
 let to_string (t : t) : string =
   if t.bits = 0 then "Bottom"

@@ -141,22 +141,29 @@ let counts () : int array =
   if Array.length s.counts < Array.length !counter_names then fit s;
   s.counts
 
-(** This domain's values of histogram [h]. *)
-let dist (h : histogram) : dist =
-  let s = local () in
+let dist_on (s : store) (h : histogram) : dist =
   if h.hg_idx >= Array.length s.dists then fit s;
   s.dists.(h.hg_idx)
+
+(** This domain's values of histogram [h]. *)
+let dist (h : histogram) : dist = dist_on (local ()) h
 
 (* ------------------------------------------------------------------ *)
 (* Probes (hot path)                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let add (c : counter) (n : int) =
+(** Count into a store the caller already holds: the engine's dispatch
+    probes go through the store of the domain's SimCPU machine instead
+    of reading the domain-local key per probe. *)
+let add_on (s : store) (c : counter) (n : int) =
   if !enabled then begin
-    let s = local () in
     if c.c_idx >= Array.length s.counts then fit s;
     s.counts.(c.c_idx) <- s.counts.(c.c_idx) + n
   end
+
+let bump_on (s : store) (c : counter) = add_on s c 1
+
+let add (c : counter) (n : int) = if !enabled then add_on (local ()) c n
 
 let bump (c : counter) = add c 1
 
@@ -221,6 +228,9 @@ let percentile (h : dist) (p : float) : float =
   end
 
 let histogram_max (h : dist) : int = h.h_max
+
+let observe_on (s : store) (h : histogram) (v : int) =
+  if !enabled then observe_record (dist_on s h) v
 
 let observe (h : histogram) (v : int) =
   if !enabled then observe_record (dist h) v

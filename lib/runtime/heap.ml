@@ -10,44 +10,37 @@
     MiniPHP code, so freeing an object calls back into the interpreter via
     {!destructor_hook}, which the VM installs at startup.
 
-    Accounting is {b per domain}: each domain owns a heap context (stats,
-    audit table, allocation-id counter) in domain-local storage, so
-    parallel request serving neither races the audit hashtable nor loses
+    Accounting is {b per domain}: the heap's stats, audit table and
+    allocation-id counter are fields of the domain's {!Ledger.acct}, so
+    parallel request serving neither races the audit table nor loses
     stat updates.  Values themselves may flow between domains (the shared
     unit's static strings, for instance); only the bookkeeping is
-    domain-local.  A scheduler merges worker stats back with
-    {!absorb_stats} after joining, so process-wide totals stay exact. *)
+    domain-local.  A scheduler merges worker accounts back with
+    {!Ledger.absorb} after joining, so process-wide totals stay exact.
+
+    Hot callers hold the account already (the interpreter's [frame.acct],
+    the SimCPU machine's) and use the [_on] variants; the plain ones read
+    the domain-local account themselves. *)
 
 open Value
 
-type stats = {
-  mutable allocated : int;        (* total allocations since reset *)
-  mutable freed : int;            (* total frees since reset *)
-  mutable live : int;             (* currently live counted objects *)
-  mutable incref_ops : int;       (* dynamic count of IncRef operations *)
-  mutable decref_ops : int;       (* dynamic count of DecRef operations *)
+type stats = Ledger.acct = {
+  mutable a_cycles : int;
+  mutable a_interp : int;
+  mutable a_jit : int;
+  mutable a_instrs : int;
+  mutable allocated : int;
+  mutable freed : int;
+  mutable live : int;
+  mutable incref_ops : int;
+  mutable decref_ops : int;
+  a_audit : string Ledger.Audit.t;
+  mutable a_next_id : int;
 }
 
-type ctx = {
-  c_stats : stats;
-  (* Audit table: allocation id -> short description.  Populated only when
-     [audit_enabled]; the differential test suite turns it on. *)
-  c_audit : (int, string) Hashtbl.t;
-  mutable c_next_id : int;
-}
-
-let fresh_ctx () : ctx =
-  { c_stats = { allocated = 0; freed = 0; live = 0;
-                incref_ops = 0; decref_ops = 0 };
-    c_audit = Hashtbl.create 256;
-    c_next_id = 0 }
-
-let ctx_key : ctx Domain.DLS.key = Domain.DLS.new_key fresh_ctx
-
-let ctx () : ctx = Domain.DLS.get ctx_key
-
-(** This domain's heap statistics (a live record: reads are current). *)
-let stats () : stats = (ctx ()).c_stats
+(** This domain's account, read for its heap fields (a live record:
+    reads are current). *)
+let stats () : stats = Ledger.acct ()
 
 let audit_enabled = ref true
 
@@ -60,64 +53,58 @@ let destructor_hook : (obj counted -> unit) ref =
 let has_destructor_hook : (int -> bool) ref = ref (fun _ -> false)
 
 let reset () =
-  let c = ctx () in
-  let s = c.c_stats in
-  s.allocated <- 0; s.freed <- 0; s.live <- 0;
-  s.incref_ops <- 0; s.decref_ops <- 0;
-  Hashtbl.reset c.c_audit;
-  c.c_next_id <- 0
+  let a = stats () in
+  a.allocated <- 0; a.freed <- 0; a.live <- 0;
+  a.incref_ops <- 0; a.decref_ops <- 0;
+  Ledger.Audit.reset a.a_audit;
+  a.a_next_id <- 0
 
-(** Fold a joined worker's stats into this domain's (scheduler join).
-    [live] carries over too: a leak on any worker shows in the total. *)
-let absorb_stats (w : stats) =
-  let s = stats () in
-  s.allocated <- s.allocated + w.allocated;
-  s.freed <- s.freed + w.freed;
-  s.live <- s.live + w.live;
-  s.incref_ops <- s.incref_ops + w.incref_ops;
-  s.decref_ops <- s.decref_ops + w.decref_ops
-
-let alloc_raw (kind : string) (data : 'a) : 'a counted =
-  let c = ctx () in
-  c.c_next_id <- c.c_next_id + 1;
-  let id = c.c_next_id in
-  let s = c.c_stats in
-  s.allocated <- s.allocated + 1;
-  s.live <- s.live + 1;
-  if !audit_enabled then Hashtbl.replace c.c_audit id kind;
+let alloc_on (a : stats) (kind : string) (data : 'a) : 'a counted =
+  a.a_next_id <- a.a_next_id + 1;
+  let id = a.a_next_id in
+  a.allocated <- a.allocated + 1;
+  a.live <- a.live + 1;
+  if !audit_enabled then Ledger.Audit.replace a.a_audit id kind;
   { rc = 1; id; data }
 
-let free_raw (node : 'a counted) (kind : string) =
-  let c = ctx () in
+let alloc_raw (kind : string) (data : 'a) : 'a counted =
+  alloc_on (stats ()) kind data
+
+let free_on (a : stats) (node : 'a counted) (kind : string) =
   if !audit_enabled then begin
-    if not (Hashtbl.mem c.c_audit node.id) then
+    if not (Ledger.Audit.mem a.a_audit node.id) then
       failwith (Printf.sprintf "heap audit: double free of %s#%d" kind node.id);
-    Hashtbl.remove c.c_audit node.id
+    Ledger.Audit.remove a.a_audit node.id
   end;
-  let s = c.c_stats in
-  s.freed <- s.freed + 1;
-  s.live <- s.live - 1;
+  a.freed <- a.freed + 1;
+  a.live <- a.live - 1;
   (* Poison the refcount so a use-after-free trips the audit. *)
   node.rc <- min_int
 
-(** Leak check: returns descriptions of this domain's live allocations. *)
+(** Leak check: returns descriptions of this domain's live allocations,
+    as [kind#id] in allocation order. *)
 let live_allocations () =
-  Hashtbl.fold (fun id kind acc -> Printf.sprintf "%s#%d" kind id :: acc)
-    (ctx ()).c_audit []
+  Ledger.Audit.fold (fun id kind acc -> (id, kind) :: acc) (stats ()).a_audit []
+  |> List.sort compare
+  |> List.map (fun (id, kind) -> Printf.sprintf "%s#%d" kind id)
 
-let new_str (s : string) : value = VStr (alloc_raw "str" s)
+let new_str_on (a : stats) (s : string) : value = VStr (alloc_on a "str" s)
+
+let new_str (s : string) : value = new_str_on (stats ()) s
 
 (** Static (uncounted) string: not tracked by the audit, never freed. *)
 let static_str (s : string) : value =
-  let c = ctx () in
-  c.c_next_id <- c.c_next_id + 1;
-  VStr { rc = static_rc; id = c.c_next_id; data = s }
+  let a = stats () in
+  a.a_next_id <- a.a_next_id + 1;
+  VStr { rc = static_rc; id = a.a_next_id; data = s }
 
 let empty_arr_data () : arr =
   { entries = [||]; count = 0; index = Hashtbl.create 8; next_ikey = 0;
     packed = true }
 
-let new_arr () : value = VArr (alloc_raw "arr" (empty_arr_data ()))
+let new_arr_on (a : stats) : value = VArr (alloc_on a "arr" (empty_arr_data ()))
+
+let new_arr () : value = new_arr_on (stats ())
 
 let new_arr_node () : arr counted = alloc_raw "arr" (empty_arr_data ())
 
@@ -126,91 +113,90 @@ let new_obj (cls : int) (nprops : int) : value =
 
 (** IncRef: no-op on uncounted values.  Counted in [stats] so benchmarks can
     report refcounting-operation rates (the RCE pass reduces these). *)
-(* temporary debugging: trace rc ops on a specific allocation id *)
-let trace_id = ref (-1)
-let trace name id rc =
-  if id = !trace_id then
-    Printf.eprintf "RC %s #%d rc_before=%d\n%s\n" name id rc
-      (Printexc.raw_backtrace_to_string (Printexc.get_callstack 12))
-
-let incref (v : value) =
+let incref_on (a : stats) (v : value) =
   match v with
   | VStr n ->
     if n.rc <> static_rc then begin
       n.rc <- n.rc + 1;
-      let s = stats () in s.incref_ops <- s.incref_ops + 1
+      a.incref_ops <- a.incref_ops + 1
     end
   | VArr n ->
     n.rc <- n.rc + 1;
-    let s = stats () in s.incref_ops <- s.incref_ops + 1
+    a.incref_ops <- a.incref_ops + 1
   | VObj n ->
-    trace "inc" n.id n.rc;
     n.rc <- n.rc + 1;
-    let s = stats () in s.incref_ops <- s.incref_ops + 1
+    a.incref_ops <- a.incref_ops + 1
   | _ -> ()
 
-let count_decref () =
-  let s = stats () in s.decref_ops <- s.decref_ops + 1
+let incref (v : value) =
+  match v with
+  | VStr _ | VArr _ | VObj _ -> incref_on (stats ()) v
+  | _ -> ()
 
-let rec decref (v : value) =
+let rec decref_on (a : stats) (v : value) =
   match v with
   | VStr n ->
     if n.rc <> static_rc then begin
-      count_decref ();
+      a.decref_ops <- a.decref_ops + 1;
       if n.rc <= 0 then failwith (Printf.sprintf "heap audit: decref of dead str#%d" n.id);
       n.rc <- n.rc - 1;
-      if n.rc = 0 then free_raw n "str"
+      if n.rc = 0 then free_on a n "str"
     end
   | VArr n ->
-    count_decref ();
+    a.decref_ops <- a.decref_ops + 1;
     if n.rc <= 0 then failwith (Printf.sprintf "heap audit: decref of dead arr#%d" n.id);
     n.rc <- n.rc - 1;
     if n.rc = 0 then begin
       (* Release elements before freeing the container. *)
       let d = n.data in
       for i = 0 to d.count - 1 do
-        decref (snd d.entries.(i))
+        decref_on a (snd d.entries.(i))
       done;
-      free_raw n "arr"
+      free_on a n "arr"
     end
   | VObj n ->
-    trace "dec" n.id n.rc;
-    count_decref ();
+    a.decref_ops <- a.decref_ops + 1;
     if n.rc <= 0 then failwith (Printf.sprintf "heap audit: decref of dead obj#%d" n.id);
     n.rc <- n.rc - 1;
     if n.rc = 0 then begin
       (* Run the destructor at the exact point the last reference dies.
          The destructor sees a live object (rc temporarily resurrected to 1
-         so `$this` inside __destruct does not re-enter destruction). *)
+         so `$this` inside __destruct does not re-enter destruction).  It
+         runs on this domain, so [a] is still its account. *)
       if !has_destructor_hook n.data.cls then begin
         n.rc <- 1;
         !destructor_hook n;
         n.rc <- n.rc - 1;
         if n.rc > 0 then () (* destructor leaked a reference on purpose *)
-        else free_obj n
+        else free_obj a n
       end else
-        free_obj n
+        free_obj a n
     end
   | _ -> ()
 
-and free_obj n =
-  Array.iter decref n.data.props;
-  free_raw n "obj"
+and free_obj a n =
+  Array.iter (decref_on a) n.data.props;
+  free_on a n "obj"
+
+let decref (v : value) =
+  match v with
+  | VStr _ | VArr _ | VObj _ -> decref_on (stats ()) v
+  | _ -> ()
 
 (** DecRef for values statically known to have refcount > 1 (emitted by the
     JIT's refcount specialization); checked in debug. *)
-let decref_nz (v : value) =
+let decref_nz_on (a : stats) (v : value) =
   match v with
   | VStr n ->
     if n.rc <> static_rc then begin
-      count_decref (); n.rc <- n.rc - 1;
+      a.decref_ops <- a.decref_ops + 1; n.rc <- n.rc - 1;
       if n.rc <= 0 then failwith "decref_nz reached zero"
     end
   | VArr n ->
-    count_decref (); n.rc <- n.rc - 1;
+    a.decref_ops <- a.decref_ops + 1; n.rc <- n.rc - 1;
     if n.rc <= 0 then failwith "decref_nz reached zero"
   | VObj n ->
-    count_decref (); n.rc <- n.rc - 1;
+    a.decref_ops <- a.decref_ops + 1; n.rc <- n.rc - 1;
     if n.rc <= 0 then failwith "decref_nz reached zero"
   | _ -> ()
 

@@ -10,27 +10,32 @@
     code, so freeing an object calls back into the interpreter via
     {!destructor_hook}.
 
-    Accounting is per domain (domain-local storage): each domain owns its
-    stats record, audit table and allocation-id counter, so parallel
-    request serving neither races the audit hashtable nor loses stat
-    updates.  Single-domain programs behave exactly as before. *)
+    Accounting is per domain: the stats, audit table and allocation-id
+    counter are fields of the domain's {!Ledger.acct}, so parallel
+    request serving neither races the audit table nor loses stat
+    updates.  Hot callers that hold the account use the [_on] variants;
+    the plain ones read the domain-local account themselves. *)
 
 open Value
 
-type stats = {
+(** The domain's {!Ledger.acct}; the heap's fields are [allocated]
+    through [a_next_id]. *)
+type stats = Ledger.acct = {
+  mutable a_cycles : int;
+  mutable a_interp : int;
+  mutable a_jit : int;
+  mutable a_instrs : int;
   mutable allocated : int;
   mutable freed : int;
   mutable live : int;
   mutable incref_ops : int;   (** dynamic IncRef count (reduced by RCE) *)
   mutable decref_ops : int;
+  a_audit : string Ledger.Audit.t;
+  mutable a_next_id : int;
 }
 
-(** This domain's heap statistics (a live record: reads are current). *)
+(** This domain's account (a live record: reads are current). *)
 val stats : unit -> stats
-
-(** Fold a joined worker domain's stats into this domain's, so
-    process-wide totals stay exact after a parallel-serving burst. *)
-val absorb_stats : stats -> unit
 
 (** Audit toggle (process-wide; the table itself is per domain). *)
 val audit_enabled : bool ref
@@ -42,7 +47,7 @@ val destructor_hook : (obj counted -> unit) ref
     {!Vclass} to avoid a module cycle. *)
 val has_destructor_hook : (int -> bool) ref
 
-(** Reset all heap state (audit, counters, allocation ids). *)
+(** Reset this domain's heap state (audit, counters, allocation ids). *)
 val reset : unit -> unit
 
 (** Low-level allocation (used by {!Varray.cow}); audited. *)
@@ -52,28 +57,28 @@ val alloc_raw : string -> 'a -> 'a counted
 val live_allocations : unit -> string list
 
 val new_str : string -> value
+val new_str_on : stats -> string -> value
 
 (** Uncounted string (bytecode constant pool): never freed, not audited. *)
 val static_str : string -> value
 
 val empty_arr_data : unit -> arr
 val new_arr : unit -> value
+val new_arr_on : stats -> value
 val new_arr_node : unit -> arr counted
 val new_obj : int -> int -> value
 
 (** No-op on uncounted values. *)
 val incref : value -> unit
+val incref_on : stats -> value -> unit
 
 (** Releases one reference; frees (and runs destructors / releases
     elements) at zero.  The audit fails loudly on over-release. *)
 val decref : value -> unit
+val decref_on : stats -> value -> unit
 
 (** DecRef for values statically known to have refcount > 1 (the JIT's
     refcount specialization); checked at runtime. *)
-val decref_nz : value -> unit
+val decref_nz_on : stats -> value -> unit
 
 val refcount : value -> int
-
-(** Debug facility: print a backtrace on every rc operation touching the
-    allocation with this id (-1 disables). *)
-val trace_id : int ref

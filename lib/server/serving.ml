@@ -203,9 +203,7 @@ let completion (eng : Core.Engine.t) ?trigger ?each ()
 type worker_report = {
   wr_stats : Obs.Vmstats.store;
   wr_machine : Core.Exec.machine option;
-  wr_heap : Runtime.Heap.stats;
-  wr_ledger : Runtime.Ledger.acct;
-  wr_instrs : int;
+  wr_ledger : Runtime.Ledger.acct;    (* cycles, heap counts, instrs *)
   wr_spans : Obs.Span.span list;
   wr_prof : (string * int) list;
 }
@@ -271,9 +269,7 @@ let run ?workers ?trigger ?each (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
         let machine = Core.Engine.exit_serving () in
         { wr_stats = Obs.Vmstats.local ();
           wr_machine = machine;
-          wr_heap = Runtime.Heap.stats ();
           wr_ledger = Runtime.Ledger.acct ();
-          wr_instrs = Vm.Interp.instr_count ();
           wr_spans = Obs.Span.take ();
           wr_prof = Obs.Profiler.take () }
       in
@@ -299,9 +295,7 @@ let run ?workers ?trigger ?each (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
                    ~drain:(fun () -> Core.Engine.drain_translation_queue eng);
                  { wr_stats = Obs.Vmstats.local ();
                    wr_machine = None;
-                   wr_heap = Runtime.Heap.stats ();
                    wr_ledger = Runtime.Ledger.acct ();
-                   wr_instrs = Vm.Interp.instr_count ();
                    wr_spans = [];
                    wr_prof = Obs.Profiler.take () }))
         else None
@@ -323,9 +317,7 @@ let run ?workers ?trigger ?each (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
         (fun r ->
            Obs.Vmstats.absorb r.wr_stats;
            Option.iter (Core.Engine.merge_machine eng) r.wr_machine;
-           Runtime.Heap.absorb_stats r.wr_heap;
            Runtime.Ledger.absorb r.wr_ledger;
-           Vm.Interp.add_instr_count r.wr_instrs;
            Obs.Profiler.absorb r.wr_prof)
         reports;
       (* profile increments flushed by workers but not yet folded into the

@@ -96,8 +96,9 @@ let new_counter () : counter_id =
   ensure_counter main_ctx id;
   id
 
-let incr_counter (id : counter_id) =
-  let c = wctx () in
+(** Count through a write context the caller fetched with {!wctx}: a
+    profiling translation's run reads it once. *)
+let incr_counter_on (c : ctx) (id : counter_id) =
   ensure_counter c id;
   c.px_counters.(id) <- c.px_counters.(id) + 1
 

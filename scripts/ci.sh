@@ -2,30 +2,35 @@
 # CI for the HHVM-JIT reproduction:
 #   1. warning-clean build audit (threads/domain deps must be declared,
 #      so a fresh `dune build` prints nothing),
-#   2. dead-value scan: `scripts/dead_values.sh` fails when a top-level
+#   2. release-profile audit: the `dune rules` command of one library
+#      module (simcpu's Icache) must not pass `-opaque` (it stops all
+#      cross-module inlining) and must still pass `-strict-sequence` and
+#      the warnings-as-errors spec (dune-workspace selects the release
+#      profile and restates the dev profile's flags),
+#   3. dead-value scan: `scripts/dead_values.sh` fails when a top-level
 #      `let` in lib/*/*.ml is used nowhere: no `M.x` outside its module
 #      (through aliases and opens) and no bare `x` inside it beyond its
 #      definition and its own .mli `val` line,
-#   3. tier-1 test suite,
-#   4. differential fuzz beyond the tier-1 seeds: `test/dbg_seeds.exe`
+#   4. tier-1 test suite,
+#   5. differential fuzz beyond the tier-1 seeds: `test/dbg_seeds.exe`
 #      checks random programs 1..2000 (interp vs tracelet vs region,
 #      before and after retranslate-all; exits nonzero on any mismatch,
 #      leak or fatal),
-#   5. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
+#   6. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
 #      env path through `hhvm_run report`'s multi-domain serving burst,
 #      `hhvm_run report --vmstats=bogus` must exit nonzero (FMT is text
 #      or json), and the combined JIT_WORKERS=4 REQUEST_WORKERS=4
 #      `bench/main.exe serving` sweep exits nonzero when per-request
 #      outputs diverge across any (jit x request) worker configuration,
-#   6. parallel retranslate-all: `bench/main.exe retranslate` sweeps
+#   7. parallel retranslate-all: `bench/main.exe retranslate` sweeps
 #      --jit-workers {1,2,4} and exits nonzero when output hashes or
 #      code-cache byte totals diverge across worker counts,
-#   7. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
+#   8. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
 #      process, `hhvm_run serve --jumpstart` adopts it in a fresh one,
 #      and the jumpstarted run must serve with ZERO profiling
 #      translations and ZERO retranslate-alls while its output hash is
 #      bit-identical to the cold-started run's,
-#   8. tc-lifecycle smoke: `bench/main.exe tc_lifecycle` runs the
+#   9. tc-lifecycle smoke: `bench/main.exe tc_lifecycle` runs the
 #      mix-shift scenario at JIT_WORKERS=4 REQUEST_WORKERS=4 — warm on
 #      one endpoint mix, shift the mix, decay/evict/compact — and exits
 #      nonzero when nothing was evicted, on hash instability across
@@ -33,7 +38,7 @@
 #      divergence across (jit x request) worker configs; the CLI env
 #      path (`serve` with TC_EVICT_THRESHOLD/TC_COMPACT) must evict yet
 #      hash-match a plain cold serve,
-#   9. interpreter-regression gate: `bench/main.exe micro` exits nonzero
+#   10. interpreter-regression gate: `bench/main.exe micro` exits nonzero
 #      when `pipeline/interp fib(12)` is above 130us (min of batches).
 # The serving-report keys and profile sum, the startup cold-vs-jumpstart
 # invariants, the lifecycle parity invariants and the cross-mode output
@@ -49,6 +54,19 @@ if [ -n "$build_log" ]; then
   echo "ERROR: build is not warning-clean"
   exit 1
 fi
+
+echo "== release profile: no -opaque, warnings are errors =="
+rules=$(dune rules _build/default/lib/simcpu/.simcpu.objs/native/simcpu__Icache.cmx)
+if grep -qF -- "-opaque" <<< "$rules"; then
+  echo "ERROR: libraries build with -opaque (no cross-module inlining)"
+  exit 1
+fi
+for flag in -strict-sequence "@1..3@5..28@30..39@43@46..47@49..57@61..62-40"; do
+  if ! grep -qF -- "$flag" <<< "$rules"; then
+    echo "ERROR: library build lost $flag"
+    exit 1
+  fi
+done
 
 echo "== dead-value scan =="
 scripts/dead_values.sh

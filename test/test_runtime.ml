@@ -70,6 +70,84 @@ let heap_tests = [
       Alcotest.check_raises "second decref fails"
         (Failure "heap audit: decref of dead str#1")
         (fun () -> Heap.decref s));
+  t "audit reports a double free and lists leaks" (fun () ->
+      (* a freed node whose refcount is revived past the poison reaches
+         the audit table, which no longer has its id *)
+      let s = Heap.new_str "x" in
+      Heap.decref s;
+      (match s with Value.VStr n -> n.rc <- 1 | _ -> assert false);
+      Alcotest.check_raises "audit catches the second free"
+        (Failure "heap audit: double free of str#1")
+        (fun () -> Heap.decref s);
+      let a = Heap.new_arr () in
+      let o = Heap.new_obj 0 0 in
+      let t = Heap.new_str "y" in
+      Heap.decref t;
+      Alcotest.(check (list string)) "leaks by kind#id" [ "arr#2"; "obj#3" ]
+        (Heap.live_allocations ());
+      Heap.decref a;
+      Alcotest.(check (list string)) "one leak left" [ "obj#3" ]
+        (Heap.live_allocations ());
+      (* the object's class has no destructor hook installed here *)
+      Heap.decref o;
+      Alcotest.(check (list string)) "audit clean" []
+        (Heap.live_allocations ()));
+]
+
+(* A type guard's runtime check, [Rtype.value_matches t v], decides on the
+   value's tag, countedness, packedness and class; it must answer exactly
+   what the lattice does for the value's most precise type. *)
+let guard_tests = [
+  t "value_matches is subtype (of_value v)" (fun () ->
+      let module R = Hhbc.Rtype in
+      ignore (Vclass.register ~name:"GA" ~parent:None ~interfaces:[]
+                ~props:[] ~methods:[]);
+      ignore (Vclass.register ~name:"GB" ~parent:(Some "GA") ~interfaces:[]
+                ~props:[] ~methods:[]);
+      ignore (Vclass.register ~name:"GC" ~parent:None ~interfaces:[]
+                ~props:[] ~methods:[]);
+      let saved = !R.subclass_hook in
+      R.subclass_hook :=
+        (fun sub sup ->
+           String.equal sub sup
+           || (match Vclass.find_opt sub with
+               | Some c -> Vclass.instanceof c sup
+               | None -> false));
+      Fun.protect ~finally:(fun () -> R.subclass_hook := saved) (fun () ->
+          let mixed = Heap.new_arr_node () in
+          ignore (Varray.set_raw mixed.data (Value.KStr "k") (Value.VInt 1));
+          let values =
+            [ ("uninit", Value.VUninit); ("null", VNull);
+              ("bool", VBool true); ("int", VInt 3); ("double", VDbl 1.5);
+              ("static str", Heap.static_str "s"); ("counted str", Heap.new_str "c");
+              ("packed arr", Heap.new_arr ()); ("mixed arr", VArr mixed);
+              ("obj GA", Heap.new_obj (Vclass.find "GA").c_id 0);
+              ("obj GB", Heap.new_obj (Vclass.find "GB").c_id 0);
+              ("obj GC", Heap.new_obj (Vclass.find "GC").c_id 0) ]
+          in
+          let types =
+            [ R.bottom; R.uninit; R.init_null; R.null; R.bool; R.int; R.dbl;
+              R.num; R.sstr; R.str; R.cstr; R.arr; R.packed_arr; R.obj;
+              R.uncounted; R.uncounted_init; R.init_cell; R.cell; R.counted;
+              R.join R.packed_arr R.int; R.join (R.obj_exact "GA") R.null ]
+            @ List.concat_map (fun c -> [ R.obj_exact c; R.obj_sub c ])
+              [ "GA"; "GB"; "GC"; "Missing" ]
+          in
+          let hits = ref 0 and misses = ref 0 in
+          List.iter
+            (fun ty ->
+               List.iter
+                 (fun (what, v) ->
+                    let want = R.subtype (R.of_value v) ty in
+                    if want then incr hits else incr misses;
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s in %s" what (R.to_string ty))
+                      want (R.value_matches ty v))
+                 values)
+            types;
+          Alcotest.(check bool) "both answers occur" true
+            (!hits > 0 && !misses > 0);
+          List.iter (fun (_, v) -> Heap.decref v) values));
 ]
 
 let array_tests = [
@@ -160,4 +238,4 @@ let class_tests = [
 ]
 
 let suite =
-  ("runtime", value_tests @ heap_tests @ array_tests @ class_tests)
+  ("runtime", value_tests @ heap_tests @ array_tests @ class_tests @ guard_tests)
