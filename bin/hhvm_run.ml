@@ -213,13 +213,17 @@ let telemetry_term : telemetry Term.t =
              (some (enum [ ("text", Text); ("json", Json) ])) None
          & info [ "vmstats" ] ~docv:"FMT"
            ~doc:"Dump the vmstats telemetry registry after the run \
-                 (FMT: text, the default, or json)")
+                 (FMT: text, the default, or json).  Attach the value \
+                 ($(b,--vmstats=json)) or put the flag after FILE: a \
+                 detached next argument is read as FMT")
   in
   let tc_print =
     Arg.(value & opt ~vopt:(Some 20) (some int) None
          & info [ "tc-print" ] ~docv:"N"
            ~doc:"Print the top-N translations by execution count, with \
-                 guard chains and link targets")
+                 guard chains and link targets.  Attach \
+                 the value ($(b,--tc-print=20)) or put the flag after \
+                 FILE: a detached next argument is read as N")
   in
   let tc_sort =
     Arg.(value & opt tc_sort_conv Core.Tc_print.By_execs

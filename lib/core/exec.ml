@@ -213,29 +213,27 @@ let bind_helper (h : helper) (ix : int array)
        | Some VNull | None -> VBool false
        | Some _ -> VBool true)
   | HLdPropGen p ->
+    let site = Runtime.Vclass.prop_site p in
     fun st _ ->
       let o = need_obj st.file.(x0) in
-      let c = Runtime.Vclass.get o.data.cls in
-      (match Runtime.Vclass.prop_slot c p with
-       | Some slot ->
-         let v = o.data.props.(slot) in
-         Runtime.Heap.incref_on st.acct v;
-         v
-       | None -> fatal "undefined property %s::$%s" c.c_name p)
+      let slot = Runtime.Vclass.site_slot site o.data.cls in
+      if slot < 0 then Vm.Interp.undefined_prop o p;
+      let v = o.data.props.(slot) in
+      Runtime.Heap.incref_on st.acct v;
+      v
   | HStPropGen p ->
+    let site = Runtime.Vclass.prop_site p in
     fun st _ ->
       let f = st.file in
       let o = need_obj f.(x0) in
       let v = f.(x1) in
-      let c = Runtime.Vclass.get o.data.cls in
-      (match Runtime.Vclass.prop_slot c p with
-       | Some slot ->
-         Runtime.Heap.incref_on st.acct v;
-         let old = o.data.props.(slot) in
-         o.data.props.(slot) <- v;
-         Runtime.Heap.decref_on st.acct old;
-         VNull
-       | None -> fatal "undefined property %s::$%s" c.c_name p)
+      let slot = Runtime.Vclass.site_slot site o.data.cls in
+      if slot < 0 then Vm.Interp.undefined_prop o p;
+      Runtime.Heap.incref_on st.acct v;
+      let old = o.data.props.(slot) in
+      o.data.props.(slot) <- v;
+      Runtime.Heap.decref_on st.acct old;
+      VNull
   | HIncDecProp (slot, op) ->
     fun st _ ->
       let o = need_obj st.file.(x0) in
@@ -244,14 +242,13 @@ let bind_helper (h : helper) (ix : int array)
       o.data.props.(slot) <- nv;
       result
   | HIssetPropGen p ->
+    let site = Runtime.Vclass.prop_site p in
     fun st _ ->
       let o = need_obj st.file.(x0) in
-      let c = Runtime.Vclass.get o.data.cls in
-      (match Runtime.Vclass.prop_slot c p with
-       | Some slot ->
-         Ops.vbool
-           (match o.data.props.(slot) with VNull | VUninit -> false | _ -> true)
-       | None -> VBool false)
+      let slot = Runtime.Vclass.site_slot site o.data.cls in
+      Ops.vbool
+        (slot >= 0
+         && (match o.data.props.(slot) with VNull | VUninit -> false | _ -> true))
   | HIssetVal ->
     fun st _ ->
       Ops.vbool (match st.file.(x0) with VNull | VUninit -> false | _ -> true)
@@ -306,7 +303,8 @@ let bind_helper (h : helper) (ix : int array)
        | Some meth -> Ops.vbool (meth.m_func = fid)
        | None -> VBool false)
   | HCallCtor cname ->
-    fun st frame -> Vm.Interp.new_object frame.unit_ cname (argv st ix 0)
+    let ctor = Vm.Interp.constructor_for cname in
+    fun st frame -> ctor frame.unit_ (argv st ix 0)
   | HCallBuiltin name ->
     fun st _ ->
       let args = argv st ix 0 in

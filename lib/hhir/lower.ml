@@ -666,7 +666,9 @@ and slot_of env (ty : R.t) (prop : string) : int option =
   match ty with
   | { R.bits; cls = R.CExact cname; _ } when bits = R.b_obj ->
     (match Runtime.Vclass.find_opt cname with
-     | Some c -> Runtime.Vclass.prop_slot c prop
+     | Some c ->
+       let slot = Runtime.Vclass.slot_of_name c prop in
+       if slot >= 0 then Some slot else None
      | None -> None)
   | _ -> None
 

@@ -34,7 +34,7 @@ type stats = Ledger.acct = {
   mutable live : int;
   mutable incref_ops : int;
   mutable decref_ops : int;
-  a_audit : string Ledger.Audit.t;
+  a_audit : Ledger.Audit.t;
   mutable a_next_id : int;
 }
 
@@ -59,23 +59,23 @@ let reset () =
   Ledger.Audit.reset a.a_audit;
   a.a_next_id <- 0
 
-let alloc_on (a : stats) (kind : string) (data : 'a) : 'a counted =
+(* [kind] is a {!Ledger.Audit} kind code *)
+let alloc_on (a : stats) (kind : int) (data : 'a) : 'a counted =
   a.a_next_id <- a.a_next_id + 1;
   let id = a.a_next_id in
   a.allocated <- a.allocated + 1;
   a.live <- a.live + 1;
-  if !audit_enabled then Ledger.Audit.replace a.a_audit id kind;
+  if !audit_enabled then Ledger.Audit.add a.a_audit id kind;
   { rc = 1; id; data }
 
-let alloc_raw (kind : string) (data : 'a) : 'a counted =
-  alloc_on (stats ()) kind data
+let alloc_arr (data : arr) : arr counted =
+  alloc_on (stats ()) Ledger.Audit.kind_arr data
 
-let free_on (a : stats) (node : 'a counted) (kind : string) =
-  if !audit_enabled then begin
-    if not (Ledger.Audit.mem a.a_audit node.id) then
-      failwith (Printf.sprintf "heap audit: double free of %s#%d" kind node.id);
-    Ledger.Audit.remove a.a_audit node.id
-  end;
+let free_on (a : stats) (node : 'a counted) (kind : int) =
+  if !audit_enabled && not (Ledger.Audit.remove a.a_audit node.id) then
+    failwith
+      (Printf.sprintf "heap audit: double free of %s#%d"
+         (Ledger.Audit.kind_name kind) node.id);
   a.freed <- a.freed + 1;
   a.live <- a.live - 1;
   (* Poison the refcount so a use-after-free trips the audit. *)
@@ -84,11 +84,12 @@ let free_on (a : stats) (node : 'a counted) (kind : string) =
 (** Leak check: returns descriptions of this domain's live allocations,
     as [kind#id] in allocation order. *)
 let live_allocations () =
-  Ledger.Audit.fold (fun id kind acc -> (id, kind) :: acc) (stats ()).a_audit []
-  |> List.sort compare
-  |> List.map (fun (id, kind) -> Printf.sprintf "%s#%d" kind id)
+  Ledger.Audit.live (stats ()).a_audit
+  |> List.map (fun (id, kind) ->
+      Printf.sprintf "%s#%d" (Ledger.Audit.kind_name kind) id)
 
-let new_str_on (a : stats) (s : string) : value = VStr (alloc_on a "str" s)
+let new_str_on (a : stats) (s : string) : value =
+  VStr (alloc_on a Ledger.Audit.kind_str s)
 
 let new_str (s : string) : value = new_str_on (stats ()) s
 
@@ -99,17 +100,19 @@ let static_str (s : string) : value =
   VStr { rc = static_rc; id = a.a_next_id; data = s }
 
 let empty_arr_data () : arr =
-  { entries = [||]; count = 0; index = Hashtbl.create 8; next_ikey = 0;
+  { entries = [||]; count = 0; index = no_index; next_ikey = 0;
     packed = true }
 
-let new_arr_on (a : stats) : value = VArr (alloc_on a "arr" (empty_arr_data ()))
+let new_arr_on (a : stats) : value =
+  VArr (alloc_on a Ledger.Audit.kind_arr (empty_arr_data ()))
 
 let new_arr () : value = new_arr_on (stats ())
 
-let new_arr_node () : arr counted = alloc_raw "arr" (empty_arr_data ())
+let new_arr_node () : arr counted = alloc_arr (empty_arr_data ())
 
-let new_obj (cls : int) (nprops : int) : value =
-  VObj (alloc_raw "obj" { cls; props = Array.make nprops VNull })
+(** An object of class [cls] owning [props] (one reference each). *)
+let new_obj (cls : int) (props : value array) : value =
+  VObj (alloc_on (stats ()) Ledger.Audit.kind_obj { cls; props })
 
 (** IncRef: no-op on uncounted values.  Counted in [stats] so benchmarks can
     report refcounting-operation rates (the RCE pass reduces these). *)
@@ -140,7 +143,7 @@ let rec decref_on (a : stats) (v : value) =
       a.decref_ops <- a.decref_ops + 1;
       if n.rc <= 0 then failwith (Printf.sprintf "heap audit: decref of dead str#%d" n.id);
       n.rc <- n.rc - 1;
-      if n.rc = 0 then free_on a n "str"
+      if n.rc = 0 then free_on a n Ledger.Audit.kind_str
     end
   | VArr n ->
     a.decref_ops <- a.decref_ops + 1;
@@ -152,7 +155,7 @@ let rec decref_on (a : stats) (v : value) =
       for i = 0 to d.count - 1 do
         decref_on a (snd d.entries.(i))
       done;
-      free_on a n "arr"
+      free_on a n Ledger.Audit.kind_arr
     end
   | VObj n ->
     a.decref_ops <- a.decref_ops + 1;
@@ -176,7 +179,7 @@ let rec decref_on (a : stats) (v : value) =
 
 and free_obj a n =
   Array.iter (decref_on a) n.data.props;
-  free_on a n "obj"
+  free_on a n Ledger.Audit.kind_obj
 
 let decref (v : value) =
   match v with

@@ -30,7 +30,7 @@ type stats = Ledger.acct = {
   mutable live : int;
   mutable incref_ops : int;   (** dynamic IncRef count (reduced by RCE) *)
   mutable decref_ops : int;
-  a_audit : string Ledger.Audit.t;
+  a_audit : Ledger.Audit.t;
   mutable a_next_id : int;
 }
 
@@ -50,8 +50,9 @@ val has_destructor_hook : (int -> bool) ref
 (** Reset this domain's heap state (audit, counters, allocation ids). *)
 val reset : unit -> unit
 
-(** Low-level allocation (used by {!Varray.cow}); audited. *)
-val alloc_raw : string -> 'a -> 'a counted
+(** Allocate a node for existing array data (used by {!Varray.cow});
+    audited. *)
+val alloc_arr : arr -> arr counted
 
 (** Descriptions of currently live (leaked, if at program end) objects. *)
 val live_allocations : unit -> string list
@@ -66,7 +67,10 @@ val empty_arr_data : unit -> arr
 val new_arr : unit -> value
 val new_arr_on : stats -> value
 val new_arr_node : unit -> arr counted
-val new_obj : int -> int -> value
+
+(** An object of class [cls] that takes over [props] (one reference to
+    each counted value). *)
+val new_obj : int -> value array -> value
 
 (** No-op on uncounted values. *)
 val incref : value -> unit

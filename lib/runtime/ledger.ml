@@ -24,14 +24,82 @@
     {!Heap}; cold callers use the wrappers that read the domain-local key
     themselves. *)
 
-(* The heap audit: allocation id -> kind ("str", "arr", "obj").  Ids are
-   dense per domain, so the id is its own hash — no polymorphic hashing
-   per allocation or free. *)
-module Audit = Hashtbl.Make (struct
-    type t = int
-    let equal = Int.equal
-    let hash (id : int) = id land max_int
-  end)
+(** The heap audit: the domain's live allocations, each an allocation id
+    with its kind code, packed into one word ([id lsl 2 lor kind]) in an
+    open-addressing [int array] (linear probing from [id land mask], at
+    most half full; 0 = an empty slot).  Ids are dense per domain, so the
+    id is its own hash, and an allocation or free writes one word of a
+    preallocated table: nothing is allocated per operation.  A removal
+    shifts the rest of its probe run back (no tombstones), so a lookup
+    stops at the first empty slot. *)
+module Audit = struct
+  type t = { mutable slots : int array; mutable n : int }
+
+  (* kind codes; never 0, so a live slot is never 0 *)
+  let kind_str = 1
+  let kind_arr = 2
+  let kind_obj = 3
+
+  let kind_name = function
+    | 1 -> "str" | 2 -> "arr" | 3 -> "obj"
+    | k -> invalid_arg (Printf.sprintf "Ledger.Audit.kind_name %d" k)
+
+  (* [cap] must be a power of two *)
+  let create cap : t = { slots = Array.make cap 0; n = 0 }
+
+  let reset (t : t) =
+    Array.fill t.slots 0 (Array.length t.slots) 0;
+    t.n <- 0
+
+  let insert (slots : int array) (word : int) =
+    let mask = Array.length slots - 1 in
+    let i = ref ((word lsr 2) land mask) in
+    while slots.(!i) <> 0 do i := (!i + 1) land mask done;
+    slots.(!i) <- word
+
+  (** Record allocation [id] (not already present) of kind [kind]. *)
+  let add (t : t) (id : int) (kind : int) =
+    if 2 * (t.n + 1) > Array.length t.slots then begin
+      let old = t.slots in
+      t.slots <- Array.make (2 * Array.length old) 0;
+      Array.iter (fun w -> if w <> 0 then insert t.slots w) old
+    end;
+    insert t.slots ((id lsl 2) lor kind);
+    t.n <- t.n + 1
+
+  (** Remove allocation [id]; false if it was not live. *)
+  let remove (t : t) (id : int) : bool =
+    let slots = t.slots in
+    let mask = Array.length slots - 1 in
+    let i = ref (id land mask) in
+    while slots.(!i) <> 0 && slots.(!i) lsr 2 <> id do
+      i := (!i + 1) land mask
+    done;
+    if slots.(!i) = 0 then false
+    else begin
+      (* backward shift: move each later entry of the run whose home slot
+         does not lie strictly between the hole and it into the hole *)
+      let hole = ref !i and j = ref ((!i + 1) land mask) in
+      while slots.(!j) <> 0 do
+        let home = (slots.(!j) lsr 2) land mask in
+        if (!j - home) land mask >= (!j - !hole) land mask then begin
+          slots.(!hole) <- slots.(!j);
+          hole := !j
+        end;
+        j := (!j + 1) land mask
+      done;
+      slots.(!hole) <- 0;
+      t.n <- t.n - 1;
+      true
+    end
+
+  (** The live allocations as [(id, kind code)], in allocation order. *)
+  let live (t : t) : (int * int) list =
+    Array.fold_left
+      (fun acc w -> if w = 0 then acc else (w lsr 2, w land 3) :: acc)
+      [] t.slots
+    |> List.sort compare
+end
 
 type acct = {
   mutable a_cycles : int;
@@ -48,7 +116,7 @@ type acct = {
   mutable incref_ops : int;       (* dynamic count of IncRef operations *)
   mutable decref_ops : int;       (* dynamic count of DecRef operations *)
   (* live allocations; filled only while [Heap.audit_enabled] *)
-  a_audit : string Audit.t;
+  a_audit : Audit.t;
   mutable a_next_id : int;        (* last allocation id handed out *)
 }
 

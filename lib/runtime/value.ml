@@ -14,6 +14,26 @@ type akey =
   | KInt of int
   | KStr of string
 
+(** Hash tables keyed by [akey], for the index of a mixed array: the
+    equality and hash are monomorphic (no polymorphic [compare], no
+    [caml_hash]). *)
+module Ktbl = Hashtbl.Make (struct
+    type t = akey
+    let equal a b =
+      match a, b with
+      | KInt x, KInt y -> Int.equal x y
+      | KStr x, KStr y -> String.equal x y
+      | _ -> false
+    let hash = function
+      | KInt i -> i land max_int
+      | KStr s ->
+        let h = ref 5381 in
+        for i = 0 to String.length s - 1 do
+          h := (!h * 33) lxor Char.code (String.unsafe_get s i)
+        done;
+        !h land max_int
+  end)
+
 (** A reference-counted heap node.  [id] is a unique allocation id used by
     the heap audit (leak / double-free detection) and for debugging. *)
 type 'a counted = {
@@ -32,15 +52,23 @@ type value =
   | VArr of arr counted
   | VObj of obj counted
 
-(** Ordered dictionary: insertion-ordered entries plus a hash index.
-    [next_ikey] implements PHP's implicit integer-key assignment on append. *)
+(** Ordered dictionary: insertion-ordered entries, plus a hash index once
+    the array is mixed.  [next_ikey] implements PHP's implicit integer-key
+    assignment on append.
+
+    The packed kind (HHVM's Arr::Packed, specialized by the JIT): when
+    [packed] holds, the keys are exactly the positions [0..count-1], a
+    lookup is a bounds check, and [index] is the shared {!no_index},
+    never written.  {!Varray} builds a real index when the array leaves
+    the kind — a string key, an int key other than [count], or the
+    removal of an entry other than the last — and drops it when the array
+    becomes empty, which makes it packed again. *)
 and arr = {
   mutable entries : (akey * value) array;   (* insertion order; may have slack *)
   mutable count : int;                      (* live prefix length of entries *)
-  index : (akey, int) Hashtbl.t;            (* key -> position in entries *)
+  mutable index : int Ktbl.t;               (* key -> position; mixed only *)
   mutable next_ikey : int;
-  mutable packed : bool;  (** vector-like: keys are exactly 0..count-1
-                              (HHVM's Arr::Packed kind, specialized by the JIT) *)
+  mutable packed : bool;
 }
 
 (** Objects have reference semantics.  Properties are stored in a flat slot
@@ -49,6 +77,9 @@ and obj = {
   cls : int;                                (* class id in the class table *)
   props : value array;
 }
+
+(** The index of every packed array: empty, and never written. *)
+let no_index : int Ktbl.t = Ktbl.create 1
 
 (** Runtime type tags, numbered exactly as the JIT encodes them in machine
     words ({!Word} in simcpu).  Keep in sync with [tag_of_value]. *)

@@ -7,8 +7,9 @@
     and store the clone back into the slot.  [set]/[append] return the node
     to store back so interpreter and JIT helpers share one implementation.
 
-    Deletion ([unset]) uses tombstones: the entry is marked dead and the
-    index entry removed; [count] tracks live entries separately. *)
+    Deletion ([unset]) removes the entry and shifts the later ones left,
+    so [entries.(0..count-1)] are always the live entries in order.  A
+    packed array (Value.arr) has no index at all. *)
 
 open Value
 
@@ -22,32 +23,51 @@ let grow (d : arr) =
 (** Number of live entries. *)
 let length (d : arr) = d.count
 
+(* Position of [k] in [d.entries], or -1.  A packed array answers from
+   the key alone. *)
+let pos_of (d : arr) (k : akey) : int =
+  if d.packed then
+    match k with
+    | KInt i when i >= 0 && i < d.count -> i
+    | _ -> -1
+  else
+    match Ktbl.find_opt d.index k with
+    | Some pos -> pos
+    | None -> -1
+
+(* Leave the packed kind: index the current entries (keys [0..count-1]). *)
+let unpack (d : arr) =
+  let index = Ktbl.create (max 8 (2 * d.count)) in
+  for i = 0 to d.count - 1 do Ktbl.add index (KInt i) i done;
+  d.index <- index;
+  d.packed <- false
+
 let find_opt (d : arr) (k : akey) : value option =
-  match Hashtbl.find_opt d.index k with
-  | None -> None
-  | Some pos -> Some (snd d.entries.(pos))
+  let pos = pos_of d k in
+  if pos < 0 then None else Some (snd d.entries.(pos))
 
 (** Raw set: no refcounting; overwrites in place or appends a new entry.
     Returns the value previously bound to [k] (to decref), if any. *)
 let set_raw (d : arr) (k : akey) (v : value) : value option =
-  match Hashtbl.find_opt d.index k with
-  | Some pos ->
+  let pos = pos_of d k in
+  if pos >= 0 then begin
     let old = snd d.entries.(pos) in
     d.entries.(pos) <- (k, v);
     Some old
-  | None ->
+  end else begin
     if d.count = Array.length d.entries then grow d;
     (* packedness is preserved only by appending the next sequential key *)
     (match k with
      | KInt i when i = d.count -> ()
-     | _ -> d.packed <- false);
+     | _ -> if d.packed then unpack d);
     d.entries.(d.count) <- (k, v);
-    Hashtbl.replace d.index k d.count;
+    if not d.packed then Ktbl.add d.index k d.count;
     d.count <- d.count + 1;
     (match k with
      | KInt i when i >= d.next_ikey -> d.next_ikey <- i + 1
      | _ -> ());
     None
+  end
 
 (** Raw append with implicit integer key.  Returns the key used. *)
 let append_raw (d : arr) (v : value) : akey =
@@ -56,10 +76,11 @@ let append_raw (d : arr) (v : value) : akey =
   k
 
 (** Shallow structural clone.  Elements are incref'd: the clone owns a
-    reference to each element, as in HHVM's array COW copy. *)
+    reference to each element, as in HHVM's array COW copy.  A packed
+    clone has no index to copy. *)
 let clone_data (d : arr) : arr =
   let entries = if d.count = 0 then [||] else Array.sub d.entries 0 d.count in
-  let index = Hashtbl.copy d.index in
+  let index = if d.packed then no_index else Ktbl.copy d.index in
   for i = 0 to d.count - 1 do
     Heap.incref (snd entries.(i))
   done;
@@ -71,7 +92,7 @@ let clone_data (d : arr) : arr =
 let cow (node : arr counted) : arr counted =
   if node.rc = 1 then node
   else begin
-    let copy = Heap.alloc_raw "arr" (clone_data node.data) in
+    let copy = Heap.alloc_arr (clone_data node.data) in
     (* drop caller's reference to the original *)
     node.rc <- node.rc - 1;
     let s = Heap.stats () in s.Heap.decref_ops <- s.Heap.decref_ops + 1;
@@ -94,34 +115,35 @@ let append (node : arr counted) (v : value) : arr counted =
   ignore (append_raw node.data v);
   node
 
-(** COW unset: removes the binding for [k] if present.  Compacts lazily by
-    rebuilding when more than half the entries are dead. *)
+(** COW unset: removes the binding for [k] if present, shifting the later
+    entries left.  Removing the last entry keeps a packed array packed;
+    removing any other leaves the kind; an emptied array is packed. *)
 let unset (node : arr counted) (k : akey) : arr counted =
-  match Hashtbl.find_opt node.data.index k with
-  | None -> node
-  | Some _ ->
+  let pos = pos_of node.data k in
+  if pos < 0 then node
+  else begin
+    (* a COW copy keeps every entry's position *)
     let node = cow node in
     let d = node.data in
-    (match Hashtbl.find_opt d.index k with
-     | None -> node
-     | Some pos ->
-       Heap.decref (snd d.entries.(pos));
-       Hashtbl.remove d.index k;
-       (* compact: shift the suffix left *)
-       for i = pos to d.count - 2 do
-         d.entries.(i) <- d.entries.(i + 1);
-         Hashtbl.replace d.index (fst d.entries.(i)) i
-       done;
-       d.count <- d.count - 1;
-       if d.count = 0 then d.packed <- true
-       else if pos < d.count then d.packed <- false;
-       node)
+    Heap.decref (snd d.entries.(pos));
+    let last = d.count - 1 in
+    if pos < last && d.packed then unpack d;
+    if not d.packed then begin
+      Ktbl.remove d.index k;
+      for i = pos to last - 1 do
+        d.entries.(i) <- d.entries.(i + 1);
+        Ktbl.replace d.index (fst d.entries.(i)) i
+      done
+    end;
+    d.count <- last;
+    if last = 0 then begin d.index <- no_index; d.packed <- true end;
+    node
+  end
 
 (** Lookup with PHP notice semantics: missing key yields Null. *)
 let get (d : arr) (k : akey) : value =
-  match find_opt d k with
-  | Some v -> v
-  | None -> VNull
+  let pos = pos_of d k in
+  if pos < 0 then VNull else snd d.entries.(pos)
 
 let key_of_value (v : value) : akey =
   match v with

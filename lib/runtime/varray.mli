@@ -20,7 +20,8 @@ val get : arr -> akey -> value
 
 (** Raw (non-COW, non-refcounting) insert; returns the displaced value, if
     any, which the caller must release.  Maintains insertion order, the
-    hash index, implicit-integer-key state and packedness. *)
+    mixed kind's index, implicit-integer-key state and packedness (a
+    packed array has no index; it gets one when it stops being packed). *)
 val set_raw : arr -> akey -> value -> value option
 
 (** Raw append under the next implicit integer key; returns the key used. *)
@@ -40,7 +41,8 @@ val set : arr counted -> akey -> value -> arr counted
 (** COW append; same ownership contract as [set]. *)
 val append : arr counted -> value -> arr counted
 
-(** COW removal; compacts the entry array and reindexes. *)
+(** COW removal; shifts the later entries left.  Removing any entry but
+    the last takes a packed array to the mixed kind. *)
 val unset : arr counted -> akey -> arr counted
 
 (** Array-key coercion for a runtime value (int keys stay ints, bools and

@@ -3,9 +3,11 @@
     Classes are registered at unit-load time.  Each class gets a dense id;
     property layout is a flat slot array (parent slots first), and method
     dispatch uses a name -> function-id table flattened over the hierarchy
-    (a vtable analogue).  Interfaces carry no layout; [instanceof] checks
-    walk precomputed ancestor/interface sets, which the JIT turns into a
-    bitwise check (paper Fig. 7, "bitwise instanceof checks"). *)
+    (a vtable analogue); a property access resolves its name to a slot
+    once per site and class ({!prop_site}).  Interfaces carry no layout;
+    [instanceof] checks walk precomputed ancestor/interface sets, which the
+    JIT turns into a bitwise check (paper Fig. 7, "bitwise instanceof
+    checks"). *)
 
 type meth = {
   m_name : string;
@@ -19,7 +21,6 @@ type t = {
   c_parent : int option;
   c_interfaces : string list;       (* declared interface names *)
   c_prop_names : string array;      (* slot -> property name (incl. inherited) *)
-  c_prop_slots : (string, int) Hashtbl.t;
   c_methods : (string, meth) Hashtbl.t;
   c_ctor : int option;              (* function id of __construct, if any *)
   c_dtor : int option;              (* function id of __destruct, if any *)
@@ -61,8 +62,6 @@ let register ~(name : string) ~(parent : string option)
     match parent_cls with Some p -> Array.to_list p.c_prop_names | None -> []
   in
   let all_props = Array.of_list (parent_props @ props) in
-  let prop_slots = Hashtbl.create 8 in
-  Array.iteri (fun i n -> Hashtbl.replace prop_slots n i) all_props;
   let mtbl = Hashtbl.create 8 in
   (match parent_cls with
    | Some p -> Hashtbl.iter (fun k m -> Hashtbl.replace mtbl k m) p.c_methods
@@ -89,7 +88,7 @@ let register ~(name : string) ~(parent : string option)
   let c = {
     c_id = id; c_name = name; c_parent = Option.map (fun p -> p.c_id) parent_cls;
     c_interfaces = interfaces;
-    c_prop_names = all_props; c_prop_slots = prop_slots;
+    c_prop_names = all_props;
     c_methods = mtbl; c_ctor = ctor; c_dtor = dtor;
     c_ancestors = ancestors; c_iface_set = iface_set;
     c_ancestor_bits = bits;
@@ -100,8 +99,32 @@ let register ~(name : string) ~(parent : string option)
 
 let num_props (c : t) = Array.length c.c_prop_names
 
-let prop_slot (c : t) (name : string) : int option =
-  Hashtbl.find_opt c.c_prop_slots name
+(** The slot of property [name], or -1.  A redeclared property has two
+    slots (the parent's first); the name resolves to the last. *)
+let slot_of_name (c : t) (name : string) : int =
+  let names = c.c_prop_names in
+  let rec go i = if i < 0 || String.equal names.(i) name then i else go (i - 1) in
+  go (Array.length names - 1)
+
+(** A property access site: the property's name and the site's last
+    resolution in one word, [cls lsl 32 lor (slot + 1)] (-1: none yet).
+    A class's layout never changes once registered, so any word a site
+    holds is a correct answer for its class; serving domains share sites,
+    and a word is written and read whole, so a race costs at most a
+    repeated resolution. *)
+type prop_site = { ps_name : string; mutable ps_last : int }
+
+let prop_site (name : string) : prop_site = { ps_name = name; ps_last = -1 }
+
+(** The slot of the site's property in class [cls], or -1. *)
+let site_slot (s : prop_site) (cls : int) : int =
+  let w = s.ps_last in
+  if w asr 32 = cls then (w land 0xffff_ffff) - 1
+  else begin
+    let slot = slot_of_name (get cls) s.ps_name in
+    s.ps_last <- (cls lsl 32) lor (slot + 1);
+    slot
+  end
 
 let lookup_method (c : t) (name : string) : meth option =
   Hashtbl.find_opt c.c_methods name

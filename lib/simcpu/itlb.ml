@@ -3,13 +3,14 @@
     The huge-pages optimization (paper §5.1.2) maps the hot code section on
     2 MB pages (dedicated large-page entries on x86): with [huge] enabled,
     addresses inside the configured hot range translate with 21-bit pages,
-    everything else with 4 KB pages. *)
+    everything else with 4 KB pages.
+
+    The entries are kept in recency order, most recent first, like the
+    i-cache's sets: exact LRU with no use stamps. *)
 
 type t = {
   entries : int;
-  pages : int array;          (* page numbers; -1 = empty *)
-  stamps : int array;
-  mutable clock : int;
+  pages : int array;          (* page numbers, most recent first; -1 = empty *)
   mutable accesses : int;
   mutable misses : int;
   mutable huge : bool;
@@ -36,8 +37,7 @@ let huge_bits = 18            (* 256 KB simulated huge page *)
 let create ?(entries = 4) () : t =
   { entries;
     pages = Array.make entries (-1);
-    stamps = Array.make entries 0;
-    clock = 0; accesses = 0; misses = 0;
+    accesses = 0; misses = 0;
     huge = false; huge_lo = 0; huge_hi = 0; last_page = min_int }
 
 let set_huge (t : t) ~(enabled : bool) ~(lo : int) ~(hi : int) =
@@ -58,22 +58,9 @@ let access (t : t) (addr : int) : int =
   else begin
     t.last_page <- page;
     t.accesses <- t.accesses + 1;
-    t.clock <- t.clock + 1;
-    let hit = ref (-1) in
-    for i = 0 to t.entries - 1 do
-      if t.pages.(i) = page then hit := i
-    done;
-    if !hit >= 0 then begin
-      t.stamps.(!hit) <- t.clock;
-      0
-    end else begin
+    if t.pages.(0) = page || Icache.touch t.pages 0 t.entries page then 0
+    else begin
       t.misses <- t.misses + 1;
-      let victim = ref 0 in
-      for i = 1 to t.entries - 1 do
-        if t.stamps.(i) < t.stamps.(!victim) then victim := i
-      done;
-      t.pages.(!victim) <- page;
-      t.stamps.(!victim) <- t.clock;
       miss_cycles
     end
   end

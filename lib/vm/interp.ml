@@ -246,47 +246,97 @@ let teardown (fr : frame) =
 (* Object construction and method dispatch                             *)
 (* ------------------------------------------------------------------ *)
 
-let new_object (u : Hhbc.Hunit.t) (cls_name : string) (args : value array) : value =
-  let c = Runtime.Vclass.find cls_name in
-  let obj = Runtime.Heap.new_obj c.c_id (Runtime.Vclass.num_props c) in
-  (* initialize property defaults from the class template *)
-  (match obj with
-   | VObj o ->
-     (* defaults are stored per unit class_info; walk the parent chain *)
-     let rec init_defaults (cname : string) =
-       let ci =
-         List.find_opt (fun ci -> ci.Hhbc.Hunit.ci_name = cname) u.Hhbc.Hunit.classes
-       in
-       match ci with
-       | None -> ()
-       | Some ci ->
-         (match ci.ci_parent with Some p -> init_defaults p | None -> ());
-         List.iter
-           (fun (pname, cv) ->
-              match Runtime.Vclass.prop_slot c pname with
-              | Some slot ->
-                Runtime.Heap.decref o.data.props.(slot);
-                o.data.props.(slot) <- Hhbc.Hunit.materialize cv
-              | None -> ())
-           ci.ci_props
-     in
-     init_defaults cls_name
-   | _ -> assert false);
-  (* run the constructor *)
-  (match c.c_ctor with
-   | Some fid ->
-     Runtime.Heap.incref obj;  (* constructor's $this reference *)
-     (try
-        let r = !call_dispatch u fid args obj in
-        Runtime.Heap.decref r
-      with e ->
-        (* constructor threw: release the half-built object *)
-        Runtime.Heap.decref obj;
-        raise e)
-   | None ->
-     (* no ctor: args are still owned by us; release them *)
-     Array.iter Runtime.Heap.decref args);
+(** A class's construction template, built once per unit load
+    ({!Loader.load}, right after class registration) and immutable
+    after: a new object copies [t_props], then replays [t_fresh] — each
+    step releases the slot's value and stores a fresh materialization of
+    the default — then runs the constructor.  The steps are the array
+    defaults, which every object must own afresh, and any default that
+    replaces an earlier array default of a redeclared property, so every
+    allocation, free and refcount operation of the by-name path it
+    replaced happens as before, in the same order. *)
+type template = {
+  t_cls : int;
+  t_props : value array;                        (* uncounted defaults *)
+  t_fresh : (int * Hhbc.Instr.cval) array;      (* (slot, default) steps *)
+  t_ctor : int;                                 (* constructor fid; -1: none *)
+}
+
+(* By class id; rebuilt for every class a load registers. *)
+let templates : template array ref = ref [||]
+
+(** Build [c]'s template from the defaults the unit declares for it and
+    its ancestors (root first; a later default for a name replaces an
+    earlier one).  An ancestor the unit does not declare ends the walk. *)
+let build_template (u : Hhbc.Hunit.t) (c : Runtime.Vclass.t) : template =
+  let props = Array.make (Runtime.Vclass.num_props c) VNull in
+  let holds_arr = Array.make (Array.length props) false in
+  let fresh = ref [] in
+  let rec walk (cname : string) =
+    match
+      List.find_opt (fun ci -> ci.Hhbc.Hunit.ci_name = cname) u.Hhbc.Hunit.classes
+    with
+    | None -> ()
+    | Some ci ->
+      Option.iter walk ci.ci_parent;
+      List.iter
+        (fun (pname, cv) ->
+           let slot = Runtime.Vclass.slot_of_name c pname in
+           if slot >= 0 then
+             match cv with
+             | CArr _ ->
+               props.(slot) <- VNull;
+               holds_arr.(slot) <- true;
+               fresh := (slot, cv) :: !fresh
+             | _ ->
+               props.(slot) <- Hhbc.Hunit.materialize cv;
+               if holds_arr.(slot) then begin
+                 holds_arr.(slot) <- false;
+                 fresh := (slot, cv) :: !fresh
+               end)
+        ci.ci_props
+  in
+  walk c.c_name;
+  { t_cls = c.c_id; t_props = props; t_fresh = Array.of_list (List.rev !fresh);
+    t_ctor = Option.value c.c_ctor ~default:(-1) }
+
+(** Construct an object from template [t]: [args] go to the constructor,
+    or are released if the class has none. *)
+let construct (u : Hhbc.Hunit.t) (t : template) (args : value array) : value =
+  let props = Array.copy t.t_props in
+  let obj = Runtime.Heap.new_obj t.t_cls props in
+  for i = 0 to Array.length t.t_fresh - 1 do
+    let slot, cv = t.t_fresh.(i) in
+    Runtime.Heap.decref props.(slot);
+    props.(slot) <- Hhbc.Hunit.materialize cv
+  done;
+  if t.t_ctor >= 0 then begin
+    Runtime.Heap.incref obj;  (* constructor's $this reference *)
+    (try
+       let r = !call_dispatch u t.t_ctor args obj in
+       Runtime.Heap.decref r
+     with e ->
+       (* constructor threw: release the half-built object *)
+       Runtime.Heap.decref obj;
+       raise e)
+  end else
+    (* no ctor: args are still owned by us; release them *)
+    Array.iter Runtime.Heap.decref args;
   obj
+
+(** Resolve a construction site of class [cname] once: the returned
+    function builds an object from its template.  An unknown class is a
+    fatal error when the site runs. *)
+let constructor_for (cname : string) : Hhbc.Hunit.t -> value array -> value =
+  match Runtime.Vclass.find_opt cname with
+  | Some c ->
+    let t = !templates.(c.c_id) in
+    fun u args -> construct u t args
+  | None -> fun _ _ -> fatal "class %s not found" cname
+
+(** The fatal error of an access to a property [o]'s class lacks. *)
+let undefined_prop (o : obj counted) (p : string) =
+  fatal "undefined property %s::$%s" (Runtime.Vclass.get o.data.cls).c_name p
 
 let lookup_method_for (v : value) (mname : string) : Runtime.Vclass.meth =
   match v with
@@ -607,9 +657,10 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
       push fr (!call_dispatch fr.unit_ m.m_func args recv);
       next
   | NewObjD (cname, nargs) ->
+    let ctor = constructor_for cname in
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let args = take_args fr nargs in
-      push fr (new_object fr.unit_ cname args);
+      push fr (ctor fr.unit_ args);
       next
   | This ->
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
@@ -630,19 +681,19 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
          next
        | _ -> fatal "cannot index %s" (tag_name (tag_of_value base)))
   | QueryM_Prop p ->
+    let site = Runtime.Vclass.prop_site p in
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let base = pop fr in
       (match base with
        | VObj o ->
-         let c = Runtime.Vclass.get o.data.cls in
-         (match Runtime.Vclass.prop_slot c p with
-          | Some slot ->
-            let v = o.data.props.(slot) in
-            Runtime.Heap.incref_on fr.acct v;
-            push fr v;
-            Runtime.Heap.decref_on fr.acct base;
-            next
-          | None -> fatal "undefined property %s::$%s" c.c_name p)
+         let slot = Runtime.Vclass.site_slot site o.data.cls in
+         if slot >= 0 then begin
+           let v = o.data.props.(slot) in
+           Runtime.Heap.incref_on fr.acct v;
+           push fr v;
+           Runtime.Heap.decref_on fr.acct base;
+           next
+         end else undefined_prop o p
        | _ -> fatal "property access on %s" (tag_name (tag_of_value base)))
   | SetM_ElemL l ->
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
@@ -704,37 +755,37 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
        | VUninit -> Runtime.Heap.decref_on fr.acct k; next
        | _ -> fatal "cannot unset element of non-array")
   | SetM_Prop p ->
+    let site = Runtime.Vclass.prop_site p in
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let v = pop fr in
       let base = pop fr in
       (match base with
        | VObj o ->
-         let c = Runtime.Vclass.get o.data.cls in
-         (match Runtime.Vclass.prop_slot c p with
-          | Some slot ->
-            Runtime.Heap.incref_on fr.acct v;
-            Runtime.Heap.decref_on fr.acct o.data.props.(slot);
-            o.data.props.(slot) <- v;
-            Runtime.Heap.decref_on fr.acct base;
-            push fr v;
-            next
-          | None -> fatal "undefined property %s::$%s" c.c_name p)
+         let slot = Runtime.Vclass.site_slot site o.data.cls in
+         if slot >= 0 then begin
+           Runtime.Heap.incref_on fr.acct v;
+           Runtime.Heap.decref_on fr.acct o.data.props.(slot);
+           o.data.props.(slot) <- v;
+           Runtime.Heap.decref_on fr.acct base;
+           push fr v;
+           next
+         end else undefined_prop o p
        | _ -> fatal "property write on %s" (tag_name (tag_of_value base)))
   | IncDecM_Prop (p, op) ->
+    let site = Runtime.Vclass.prop_site p in
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let base = pop fr in
       (match base with
        | VObj o ->
-         let c = Runtime.Vclass.get o.data.cls in
-         (match Runtime.Vclass.prop_slot c p with
-          | Some slot ->
-            let old = o.data.props.(slot) in
-            let nv, result = Runtime.Ops.incdec op old in
-            o.data.props.(slot) <- nv;
-            push fr result;
-            Runtime.Heap.decref_on fr.acct base;
-            next
-          | None -> fatal "undefined property %s::$%s" c.c_name p)
+         let slot = Runtime.Vclass.site_slot site o.data.cls in
+         if slot >= 0 then begin
+           let old = o.data.props.(slot) in
+           let nv, result = Runtime.Ops.incdec op old in
+           o.data.props.(slot) <- nv;
+           push fr result;
+           Runtime.Heap.decref_on fr.acct base;
+           next
+         end else undefined_prop o p
        | _ -> fatal "property incdec on %s" (tag_name (tag_of_value base)))
   | IssetM_Elem ->
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
@@ -759,18 +810,17 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
          Runtime.Heap.decref_on fr.acct k;
          next)
   | IssetM_Prop p ->
+    let site = Runtime.Vclass.prop_site p in
     fun fr -> fr.cyc_ <- fr.cyc_ + c;
       let base = pop fr in
       (match base with
        | VObj o ->
-         let c = Runtime.Vclass.get o.data.cls in
+         let slot = Runtime.Vclass.site_slot site o.data.cls in
          let r =
-           match Runtime.Vclass.prop_slot c p with
-           | Some slot ->
-             (match o.data.props.(slot) with
-              | VNull | VUninit -> false
-              | _ -> true)
-           | None -> false
+           slot >= 0
+           && (match o.data.props.(slot) with
+               | VNull | VUninit -> false
+               | _ -> true)
          in
          push fr (VBool r);
          Runtime.Heap.decref_on fr.acct base;

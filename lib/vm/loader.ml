@@ -20,11 +20,10 @@ class LogicException extends Exception {}
 |}
 
 (** Register the unit's classes into {!Runtime.Vclass} in dependency order
-    (parents first). *)
+    (parents first), then build each one's construction template. *)
 let register_classes (u : Hhbc.Hunit.t) =
   let remaining = ref u.Hhbc.Hunit.classes in
   let registered = Hashtbl.create 16 in
-  List.iter (fun (c : Hhbc.Hunit.class_info) -> ignore c) !remaining;
   let pass () =
     let again, done_ =
       List.partition
@@ -54,7 +53,12 @@ let register_classes (u : Hhbc.Hunit.t) =
    | [] -> ()
    | ci :: _ ->
      Runtime.Value.fatal "class %s: unknown parent %s" ci.ci_name
-       (Option.value ci.ci_parent ~default:"?"))
+       (Option.value ci.ci_parent ~default:"?"));
+  (* one template per class id, from this unit's declarations (an
+     object's defaults always came from the constructing code's unit) *)
+  Interp.templates :=
+    Array.init (Runtime.Vclass.count ()) (fun id ->
+        Interp.build_template u (Runtime.Vclass.get id))
 
 (** Wire the runtime hooks that depend on loaded code:
     - subclass queries for the type lattice

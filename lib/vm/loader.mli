@@ -12,7 +12,9 @@
 val prelude : string
 
 (** Register a unit's classes into {!Runtime.Vclass} in dependency order
-    (parents before children).  Raises a PHP fatal on unknown parents. *)
+    (parents before children), then build every class's construction
+    template ({!Interp.templates}).  Raises a PHP fatal on unknown
+    parents. *)
 val register_classes : Hhbc.Hunit.t -> unit
 
 (** Install the runtime hooks for a loaded unit: subclass resolution for

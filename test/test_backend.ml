@@ -272,6 +272,129 @@ let c3_tests = [
 
 (* --- SimCPU models --- *)
 
+(* Stamp-LRU references for the fetch models: each way or entry carries
+   its last-use stamp and a miss evicts the lowest (the first on a tie).
+   The models keep recency order instead; these pin that the traffic is
+   the same. *)
+module Ref_icache = struct
+  type t = { sets : int; ways : int; line_bits : int; tags : int array array;
+             lru : int array array; mutable clock : int; mutable accesses : int;
+             mutable misses : int; mutable last_line : int }
+
+  let create ~size_kb ~ways ~line_bytes =
+    let sets = max 1 (size_kb * 1024 / line_bytes / ways) in
+    let rec log2 n = if n = 1 then 0 else 1 + log2 (n / 2) in
+    { sets; ways; line_bits = log2 line_bytes;
+      tags = Array.init sets (fun _ -> Array.make ways (-1));
+      lru = Array.init sets (fun _ -> Array.make ways 0);
+      clock = 0; accesses = 0; misses = 0; last_line = -1 }
+
+  let access c addr =
+    let line = addr lsr c.line_bits in
+    if line = c.last_line then 0
+    else begin
+      c.last_line <- line;
+      c.accesses <- c.accesses + 1;
+      c.clock <- c.clock + 1;
+      let tags = c.tags.(line mod c.sets) and lru = c.lru.(line mod c.sets) in
+      let tag = line / c.sets in
+      let hit = ref (-1) in
+      Array.iteri (fun w t -> if t = tag then hit := w) tags;
+      if !hit >= 0 then begin lru.(!hit) <- c.clock; 0 end
+      else begin
+        c.misses <- c.misses + 1;
+        let victim = ref 0 in
+        for w = 1 to c.ways - 1 do if lru.(w) < lru.(!victim) then victim := w done;
+        tags.(!victim) <- tag;
+        lru.(!victim) <- c.clock;
+        Simcpu.Icache.miss_cycles
+      end
+    end
+end
+
+module Ref_itlb = struct
+  type t = { pages : int array; stamps : int array; mutable clock : int;
+             mutable accesses : int; mutable misses : int; mutable huge : bool;
+             mutable lo : int; mutable hi : int; mutable last_page : int }
+
+  let create entries =
+    { pages = Array.make entries (-1); stamps = Array.make entries 0; clock = 0;
+      accesses = 0; misses = 0; huge = false; lo = 0; hi = 0; last_page = min_int }
+
+  let set_huge t ~enabled ~lo ~hi =
+    t.huge <- enabled; t.lo <- lo; t.hi <- hi; t.last_page <- min_int
+
+  let access t addr =
+    let page =
+      if t.huge && addr >= t.lo && addr < t.hi then
+        (addr lsr Simcpu.Itlb.huge_bits) lor (1 lsl 62)
+      else addr lsr Simcpu.Itlb.small_bits
+    in
+    if page = t.last_page then 0
+    else begin
+      t.last_page <- page;
+      t.accesses <- t.accesses + 1;
+      t.clock <- t.clock + 1;
+      let hit = ref (-1) in
+      Array.iteri (fun i p -> if p = page then hit := i) t.pages;
+      if !hit >= 0 then begin t.stamps.(!hit) <- t.clock; 0 end
+      else begin
+        t.misses <- t.misses + 1;
+        let victim = ref 0 in
+        for i = 1 to Array.length t.pages - 1 do
+          if t.stamps.(i) < t.stamps.(!victim) then victim := i
+        done;
+        t.pages.(!victim) <- page;
+        t.stamps.(!victim) <- t.clock;
+        Simcpu.Itlb.miss_cycles
+      end
+    end
+end
+
+(* A seeded fetch stream: mostly short forward steps (fall-through within
+   and across lines), some nearby branches, some far jumps over a code
+   range several times the cache, and now and then a huge-page switch
+   whose bounds cut a line. *)
+let fetch_equivalence seed =
+  let rs = Random.State.make [| seed |] in
+  let cfgs = [ (2, 4, 64); (2, 2, 64); (1, 1, 64); (4, 8, 32); (1, 16, 64) ] in
+  List.iter
+    (fun (size_kb, ways, line_bytes) ->
+       let ic = Simcpu.Icache.create ~size_kb ~ways ~line_bytes () in
+       let rc = Ref_icache.create ~size_kb ~ways ~line_bytes in
+       let entries = 1 + Random.State.int rs 6 in
+       let tlb = Simcpu.Itlb.create ~entries () in
+       let rt = Ref_itlb.create entries in
+       let span = 64 * 1024 in
+       let addr = ref 0 in
+       for step = 1 to 4000 do
+         (match Random.State.int rs 100 with
+          | n when n < 70 -> addr := !addr + 1 + Random.State.int rs 12
+          | n when n < 90 -> addr := max 0 (!addr + Random.State.int rs 1024 - 512)
+          | n when n < 99 -> addr := Random.State.int rs span
+          | _ ->
+            let enabled = Random.State.bool rs in
+            let lo = Random.State.int rs span in
+            let hi = lo + 1 + Random.State.int rs (span / 2) in
+            Simcpu.Itlb.set_huge tlb ~enabled ~lo ~hi;
+            Ref_itlb.set_huge rt ~enabled ~lo ~hi);
+         addr := !addr mod span;
+         let what =
+           Printf.sprintf "seed %d, %dKB/%d-way/%dB, step %d"
+             seed size_kb ways line_bytes step
+         in
+         Alcotest.(check int) (what ^ ": i-cache cost")
+           (Ref_icache.access rc !addr) (Simcpu.Icache.access ic !addr);
+         Alcotest.(check int) (what ^ ": I-TLB cost")
+           (Ref_itlb.access rt !addr) (Simcpu.Itlb.access tlb !addr);
+         Alcotest.(check (list int)) (what ^ ": counters")
+           [ rc.accesses; rc.misses; rc.last_line;
+             rt.accesses; rt.misses; rt.last_page ]
+           [ ic.accesses; ic.misses; ic.last_line;
+             tlb.accesses; tlb.misses; tlb.last_page ]
+       done)
+    cfgs
+
 let simcpu_tests = [
   t "icache hits on repeated access, misses on conflict sweep" (fun () ->
       let c = Simcpu.Icache.create ~size_kb:2 ~ways:2 ~line_bytes:64 () in
@@ -310,6 +433,12 @@ let simcpu_tests = [
         done
       done;
       Alcotest.(check bool) "one huge entry suffices" true (!misses_huge <= 1));
+  t "fetch models match a stamp-LRU reference" (fun () ->
+      List.iter fetch_equivalence [ 1; 2; 3; 4; 5 ]);
+  t "i-cache needs a power-of-two set count" (fun () ->
+      Alcotest.check_raises "3 sets"
+        (Invalid_argument "Icache.create: sets = 3 is not a power of two")
+        (fun () -> ignore (Simcpu.Icache.create ~size_kb:3 ~ways:16 ~line_bytes:64 ())));
   t "codecache budget caps counted sections only" (fun () ->
       let cc = Simcpu.Codecache.create ~budget:100 () in
       Alcotest.(check bool) "main alloc ok" true

@@ -316,7 +316,106 @@ let programs = [
     } |});
 ]
 
-let tests = List.map (fun (n, s) -> differential n s) programs
+(* Object construction: every object copies its class's template and
+   materializes its own array defaults (DESIGN.md §4.2). *)
+let construction_programs = [
+  (* a redeclared default takes the name's last slot; the parent's
+     array default is materialized and released before the child's *)
+  ("construct: subclass redeclares an array default", {|
+    class Base {
+      public $tags = ["base"];
+      public $mode = [1, 2];
+      public $n = 1;
+      function describe() {
+        return count($this->tags) . ":" . $this->tags[0] . ":" . $this->n;
+      }
+    }
+    class Child extends Base {
+      public $tags = ["child", "extra"];
+      public $mode = "flat";
+      public $n = 2;
+    }
+    function main() {
+      $s = "";
+      for ($i = 0; $i < 12; $i++) {
+        $b = new Base();
+        $c = new Child();
+        $s = $s . $b->describe() . "/" . $c->describe() . "/" . $c->mode
+             . "/" . count($b->mode) . ";";
+      }
+      echo $s;
+    } |});
+  ("construct: arguments to a class without a constructor", {|
+    class Plain { public $v = 3; public $w = "w"; }
+    function main() {
+      $t = 0;
+      for ($i = 0; $i < 12; $i++) {
+        $o = new Plain("a" . $i, [$i, $i + 1], new Plain());
+        $t = $t + $o->v;
+      }
+      echo $t, $o->w;
+    } |});
+  ("construct: a constructor that throws", {|
+    class Boom {
+      public $data = [1, 2, 3];
+      public $x = 0;
+      function __construct($x) {
+        $this->x = $x;
+        if ($x % 3 == 2) { throw new Exception("boom " . $x); }
+      }
+    }
+    function main() {
+      $s = "";
+      for ($i = 0; $i < 12; $i++) {
+        try {
+          $o = new Boom($i);
+          $s = $s . "ok" . $o->x . ",";
+        } catch (Exception $e) {
+          $s = $s . $e->getMessage() . ",";
+        }
+      }
+      echo $s;
+    } |});
+  ("construct: __destruct", {|
+    class Res {
+      public $name = "";
+      public $log = ["open"];
+      function __construct($n) { $this->name = $n; }
+      function __destruct() { echo "~", $this->name, count($this->log), ";"; }
+    }
+    function make($i) { $r = new Res("r" . $i); return $i; }
+    function main() {
+      $t = 0;
+      for ($i = 0; $i < 6; $i++) { $t = $t + make($i); }
+      $a = new Res("a");
+      $a = null;
+      echo "=", $t;
+    } |});
+  ("construct: default arrays stay independent", {|
+    class Bag {
+      public $items = [0];
+      function add($x) {
+        $a = $this->items;
+        $a[] = $x;
+        $this->items = $a;
+        return count($this->items);
+      }
+    }
+    function main() {
+      $s = "";
+      for ($i = 0; $i < 10; $i++) {
+        $p = new Bag();
+        $q = new Bag();
+        $p->add($i);
+        $p->add($i + 1);
+        $s = $s . count($p->items) . count($q->items) . $p->items[2] . ",";
+      }
+      echo $s;
+    } |});
+]
+
+let tests =
+  List.map (fun (n, s) -> differential n s) (programs @ construction_programs)
 
 (* --- targeted engine behaviour tests --- *)
 
@@ -348,6 +447,24 @@ let check_traffic (what : string) (cycles, instrs, ia, im, ta, tm)
       ("i-cache accesses", ia); ("i-cache misses", im);
       ("I-TLB accesses", ta); ("I-TLB misses", tm) ]
     got
+
+(* Heap counts of one warm call of [src]'s main under [mode]: allocations,
+   frees, IncRefs, DecRefs. *)
+let heap_counts (mode : Core.Jit_options.mode) (src : string) : int list =
+  let u = Vm.Loader.load src in
+  let opts = Core.Jit_options.default () in
+  opts.mode <- mode;
+  ignore (Core.Engine.install ~opts u);
+  let call () =
+    let r, _ = Vm.Output.capture (fun () -> Vm.Interp.call_by_name u "main" []) in
+    Runtime.Heap.decref r
+  in
+  let a = Runtime.Heap.stats () in
+  let read () = [ a.allocated; a.freed; a.incref_ops; a.decref_ops ] in
+  call ();
+  let before = read () in
+  call ();
+  List.map2 (fun x y -> y - x) before (read ())
 
 let engine_tests = [
   t "region mode produces optimized translations" (fun () ->
@@ -599,6 +716,20 @@ let engine_tests = [
       Simcpu.Itlb.set_huge tlb ~enabled:true ~lo ~hi:((lo land lnot 63) + 24);
       check_traffic "huge-page bound inside the line" (370, 60, 0, 0, 20, 0)
         (exec_traffic eng (calls ignore)));
+  (* Each Base object materializes two array defaults; each Child
+     materializes Base's two and releases them as its own [tags] array
+     and [mode] string replace them, as the by-name construction did.
+     Recorded before construction templates. *)
+  t "construction heap counts with redeclared defaults" (fun () ->
+      let src =
+        List.assoc "construct: subclass redeclares an array default"
+          construction_programs
+      in
+      List.iter
+        (fun (what, mode, want) ->
+           Alcotest.(check (list int)) what want (heap_counts mode src))
+        [ ("interp", Core.Jit_options.Interp, [ 276; 276; 228; 504 ]);
+          ("region", Core.Jit_options.Region, [ 336; 336; 228; 564 ]) ]);
   t "code budget falls back to interpreter" (fun () ->
       let src = {|
         function main() { $s = 0; for ($i = 0; $i < 30; $i++) { $s += $i; } echo $s; }

@@ -514,7 +514,7 @@ let step_sweep () =
   let u = Vm.Loader.load step_src in
   let run_body = run_body u in
   let fcall = Option.get (Hhbc.Hunit.find_func u "id") in
-  let obj = Vm.Interp.new_object u "C" [||] in
+  let obj = Vm.Interp.constructor_for "C" u [||] in
   let checks = ref 0 in
   List.iter
     (fun c ->

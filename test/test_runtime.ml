@@ -80,7 +80,7 @@ let heap_tests = [
         (Failure "heap audit: double free of str#1")
         (fun () -> Heap.decref s);
       let a = Heap.new_arr () in
-      let o = Heap.new_obj 0 0 in
+      let o = Heap.new_obj 0 [||] in
       let t = Heap.new_str "y" in
       Heap.decref t;
       Alcotest.(check (list string)) "leaks by kind#id" [ "arr#2"; "obj#3" ]
@@ -121,9 +121,9 @@ let guard_tests = [
               ("bool", VBool true); ("int", VInt 3); ("double", VDbl 1.5);
               ("static str", Heap.static_str "s"); ("counted str", Heap.new_str "c");
               ("packed arr", Heap.new_arr ()); ("mixed arr", VArr mixed);
-              ("obj GA", Heap.new_obj (Vclass.find "GA").c_id 0);
-              ("obj GB", Heap.new_obj (Vclass.find "GB").c_id 0);
-              ("obj GC", Heap.new_obj (Vclass.find "GC").c_id 0) ]
+              ("obj GA", Heap.new_obj (Vclass.find "GA").c_id [||]);
+              ("obj GB", Heap.new_obj (Vclass.find "GB").c_id [||]);
+              ("obj GC", Heap.new_obj (Vclass.find "GC").c_id [||]) ]
           in
           let types =
             [ R.bottom; R.uninit; R.init_null; R.null; R.bool; R.int; R.dbl;
@@ -211,6 +211,234 @@ let array_tests = [
       Heap.decref (VArr node));
 ]
 
+(* ---- The array model: Varray against an association-list reference ---- *)
+
+(* A reference array: entries in insertion order, each value a token
+   naming the counted string it holds; [packed] and [next_ikey] follow
+   PHP's rules as the reference states them. *)
+type ref_arr = {
+  r_entries : (Value.akey * int) list;
+  r_packed : bool;
+  r_next : int;
+}
+
+let ref_empty = { r_entries = []; r_packed = true; r_next = 0 }
+
+let ref_set (r : ref_arr) (k : Value.akey) (tok : int) : ref_arr =
+  if List.mem_assoc k r.r_entries then
+    { r with
+      r_entries =
+        List.map (fun (k', t) -> (k', if k' = k then tok else t)) r.r_entries }
+  else
+    let n = List.length r.r_entries in
+    { r_entries = r.r_entries @ [ (k, tok) ];
+      r_packed = r.r_packed && k = Value.KInt n;
+      r_next = (match k with KInt i when i >= r.r_next -> i + 1 | _ -> r.r_next) }
+
+let ref_unset (r : ref_arr) (k : Value.akey) : ref_arr =
+  let rec pos i = function
+    | [] -> None
+    | (k', _) :: rest -> if k' = k then Some i else pos (i + 1) rest
+  in
+  match pos 0 r.r_entries with
+  | None -> r
+  | Some p ->
+    let entries = List.remove_assoc k r.r_entries in
+    let n = List.length entries in
+    { r with r_entries = entries;
+             r_packed = (n = 0) || (r.r_packed && p = n) }
+
+(* Tokens are counted strings: "t<n>". *)
+let tok_of (v : Value.value) : int =
+  match v with
+  | VStr s -> int_of_string (String.sub s.data 1 (String.length s.data - 1))
+  | _ -> Alcotest.fail "array value is not a token string"
+
+let check_arr (what : string) (r : ref_arr) (d : Value.arr) =
+  let got =
+    List.map (fun (k, v) -> (k, tok_of v))
+      (List.combine (Varray.keys d) (Varray.values d))
+  in
+  Alcotest.(check int) (what ^ ": count") (List.length r.r_entries) (Varray.length d);
+  Alcotest.(check bool) (what ^ ": entries in order") true (got = r.r_entries);
+  Alcotest.(check bool) (what ^ ": packed") r.r_packed d.packed;
+  Alcotest.(check int) (what ^ ": next_ikey") r.r_next d.next_ikey;
+  (* the packed kind keeps no index; a mixed array indexes every key *)
+  Alcotest.(check bool) (what ^ ": index iff mixed") (not d.packed)
+    (d.index != Value.no_index);
+  if not d.packed then
+    Alcotest.(check int) (what ^ ": index size") d.count (Value.Ktbl.length d.index);
+  List.iteri
+    (fun i (k, tok) ->
+       match Varray.find_opt d k with
+       | Some v -> Alcotest.(check int) (what ^ ": find_opt") tok (tok_of v)
+       | None -> Alcotest.failf "%s: key %d missing" what i)
+    r.r_entries
+
+let keys_pool =
+  Value.[| KInt 0; KInt 1; KInt 2; KInt 3; KInt 5; KInt (-1);
+           KStr "a"; KStr "b"; KStr "0" |]
+
+(* [steps] random operations over three slots, each holding one reference
+   to an array node (slots may share a node, which the next write through
+   either copies).  After every step each slot matches its reference, and
+   the heap holds exactly the distinct nodes and token strings the slots
+   reach. *)
+let run_array_model (seed : int) (steps : int) =
+  let rs = Random.State.make [| seed |] in
+  let nslots = 3 in
+  let nodes = Array.init nslots (fun _ -> Heap.new_arr_node ()) in
+  let refs = Array.make nslots ref_empty in
+  let next_tok = ref 0 in
+  let fresh () =
+    incr next_tok;
+    (!next_tok, Heap.new_str ("t" ^ string_of_int !next_tok))
+  in
+  let check step =
+    Array.iteri
+      (fun i r ->
+         check_arr (Printf.sprintf "seed %d step %d slot %d" seed step i)
+           r nodes.(i).data)
+      refs;
+    let distinct_nodes =
+      Array.to_list (Array.map (fun n -> n.Value.id) nodes)
+      |> List.sort_uniq compare |> List.length
+    in
+    let toks =
+      Array.to_list refs
+      |> List.concat_map (fun r -> List.map snd r.r_entries)
+      |> List.sort_uniq compare
+    in
+    let live = distinct_nodes + List.length toks in
+    Alcotest.(check int) (Printf.sprintf "seed %d step %d: live" seed step)
+      live (Heap.stats ()).live;
+    Alcotest.(check int) (Printf.sprintf "seed %d step %d: audit" seed step)
+      live (List.length (Heap.live_allocations ()))
+  in
+  for step = 1 to steps do
+    let i = Random.State.int rs nslots in
+    let k = keys_pool.(Random.State.int rs (Array.length keys_pool)) in
+    (match Random.State.int rs 7 with
+     | 0 | 1 ->
+       let tok, v = fresh () in
+       nodes.(i) <- Varray.set nodes.(i) k v;
+       refs.(i) <- ref_set refs.(i) k tok
+     | 2 ->
+       let tok, v = fresh () in
+       let r = refs.(i) in
+       nodes.(i) <- Varray.append nodes.(i) v;
+       refs.(i) <- ref_set r (KInt r.r_next) tok
+     | 3 ->
+       nodes.(i) <- Varray.unset nodes.(i) k;
+       refs.(i) <- ref_unset refs.(i) k
+     | 4 ->
+       let want = List.assoc_opt k refs.(i).r_entries in
+       Alcotest.(check (option int)) "find_opt" want
+         (Option.map tok_of (Varray.find_opt nodes.(i).data k));
+       (match Varray.get nodes.(i).data k, want with
+        | VNull, None -> ()
+        | v, Some t -> Alcotest.(check int) "get" t (tok_of v)
+        | _ -> Alcotest.fail "get of a missing key is not null")
+     | 5 ->
+       (* share slot i's node into slot j *)
+       let j = Random.State.int rs nslots in
+       if j <> i then begin
+         Heap.incref (VArr nodes.(i));
+         Heap.decref (VArr nodes.(j));
+         nodes.(j) <- nodes.(i);
+         refs.(j) <- refs.(i)
+       end
+     | _ ->
+       (* a COW copy through [cow] of a shared node, then a clone_data *)
+       Heap.incref (VArr nodes.(i));
+       let copy = Varray.cow nodes.(i) in
+       Alcotest.(check bool) "cow copies a shared node" true (copy != nodes.(i));
+       check_arr "cow copy" refs.(i) copy.data;
+       let clone = Heap.alloc_arr (Varray.clone_data copy.data) in
+       check_arr "clone" refs.(i) clone.data;
+       Heap.decref (VArr clone);
+       Heap.decref (VArr copy));
+    check step
+  done;
+  Array.iter (fun n -> Heap.decref (VArr n)) nodes;
+  Alcotest.(check (list string)) "no leaks" [] (Heap.live_allocations ())
+
+(* One array built by [ops] (int keys set to their own value, string keys
+   to 0; [`U k] unsets). *)
+let build ops =
+  List.fold_left
+    (fun node op ->
+       match op with
+       | `S k -> Varray.set node k (Value.VInt 0)
+       | `A -> Varray.append node (Value.VInt 0)
+       | `U k -> Varray.unset node k)
+    (Heap.new_arr_node ()) ops
+
+let shape (node : Value.arr Value.counted) =
+  (Varray.keys node.data, node.data.packed, node.data.next_ikey,
+   node.data.index != Value.no_index)
+
+let array_model_tests = [
+  t "array model: random operations against a reference" (fun () ->
+      List.iter (fun seed -> run_array_model seed 300) [ 1; 2; 3; 4; 5; 6; 7; 8 ]);
+  t "array kind transitions" (fun () ->
+      let open Value in
+      let check what ops (keys, packed, next, indexed) =
+        let node = build ops in
+        let k, p, n, ix = shape node in
+        Alcotest.(check bool) (what ^ ": keys") true (k = keys);
+        Alcotest.(check bool) (what ^ ": packed") packed p;
+        Alcotest.(check int) (what ^ ": next_ikey") next n;
+        Alcotest.(check bool) (what ^ ": has an index") indexed ix;
+        Heap.decref (VArr node)
+      in
+      check "appends" [ `A; `A; `A ] ([ KInt 0; KInt 1; KInt 2 ], true, 3, false);
+      check "middle unset" [ `A; `A; `A; `U (KInt 1) ]
+        ([ KInt 0; KInt 2 ], false, 3, true);
+      check "last unset" [ `A; `A; `A; `U (KInt 2) ]
+        ([ KInt 0; KInt 1 ], true, 3, false);
+      check "append after last unset" [ `A; `A; `U (KInt 1); `A ]
+        ([ KInt 0; KInt 2 ], false, 3, true);
+      check "next position as a key" [ `A; `S (KInt 1) ]
+        ([ KInt 0; KInt 1 ], true, 2, false);
+      check "non-sequential int key" [ `A; `S (KInt 5) ]
+        ([ KInt 0; KInt 5 ], false, 6, true);
+      check "negative key" [ `S (KInt (-1)) ] ([ KInt (-1) ], false, 0, true);
+      check "string key" [ `A; `S (KStr "0") ]
+        ([ KInt 0; KStr "0" ], false, 1, true);
+      check "unset to empty" [ `S (KStr "a"); `U (KStr "a") ] ([], true, 0, false);
+      check "unset to empty, then append" [ `A; `A; `U (KInt 1); `U (KInt 0); `A ]
+        ([ KInt 2 ], false, 3, true);
+      check "mixed emptied, then key 0" [ `S (KStr "a"); `U (KStr "a"); `S (KInt 0) ]
+        ([ KInt 0 ], true, 1, false));
+  t "clones of packed and mixed arrays" (fun () ->
+      let open Value in
+      let packed = build [ `A; `A ] and mixed = build [ `A; `S (KStr "k") ] in
+      List.iter
+        (fun (what, node) ->
+           let c = Varray.clone_data node.data in
+           Alcotest.(check bool) (what ^ ": same keys") true
+             (Varray.keys c = Varray.keys node.data);
+           Alcotest.(check bool) (what ^ ": same kind") node.data.packed c.packed;
+           Alcotest.(check bool) (what ^ ": shares no entries") true
+             (c.entries != node.data.entries);
+           if c.packed then
+             Alcotest.(check bool) (what ^ ": no index") true (c.index == no_index)
+           else
+             Alcotest.(check bool) (what ^ ": own index") true
+               (c.index != node.data.index && c.index != no_index);
+           (* writing the clone leaves the original alone *)
+           let cn = Heap.alloc_arr c in
+           let cn = Varray.set cn (KStr "new") (VInt 1) in
+           Alcotest.(check int) (what ^ ": original count") 2 node.data.count;
+           Alcotest.(check bool) (what ^ ": original lookup") true
+             (Varray.find_opt node.data (KStr "new") = None);
+           Heap.decref (VArr cn);
+           Heap.decref (VArr node))
+        [ ("packed", packed); ("mixed", mixed) ];
+      Alcotest.(check (list string)) "no leaks" [] (Heap.live_allocations ()));
+]
+
 let class_tests = [
   t "registration and layout" (fun () ->
       let a = Vclass.register ~name:"A" ~parent:None ~interfaces:[]
@@ -219,8 +447,9 @@ let class_tests = [
           ~props:[ "z" ] ~methods:[ ("m", 1); ("n", 2) ] in
       Alcotest.(check int) "A props" 2 (Vclass.num_props a);
       Alcotest.(check int) "B props (inherited first)" 3 (Vclass.num_props b);
-      Alcotest.(check (option int)) "B x slot" (Some 0) (Vclass.prop_slot b "x");
-      Alcotest.(check (option int)) "B z slot" (Some 2) (Vclass.prop_slot b "z");
+      Alcotest.(check int) "B x slot" 0 (Vclass.slot_of_name b "x");
+      Alcotest.(check int) "B z slot" 2 (Vclass.slot_of_name b "z");
+      Alcotest.(check int) "no such slot" (-1) (Vclass.slot_of_name b "w");
       (* override *)
       Alcotest.(check (option int)) "B::m overridden" (Some 1)
         (Option.map (fun m -> m.Vclass.m_func) (Vclass.lookup_method b "m"));
@@ -238,4 +467,6 @@ let class_tests = [
 ]
 
 let suite =
-  ("runtime", value_tests @ heap_tests @ array_tests @ class_tests @ guard_tests)
+  ("runtime",
+   value_tests @ heap_tests @ array_tests @ array_model_tests @ class_tests
+   @ guard_tests)
