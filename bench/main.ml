@@ -170,8 +170,117 @@ let table1 () =
 (* Bechamel microbenchmarks: wall-clock cost of the compiler itself    *)
 (* ------------------------------------------------------------------ *)
 
-(** Run the bechamel pipeline microbenchmarks; returns (name, ns/run). *)
-let micro_results () : (string * float) list =
+(* The reference kernel of the interpreter gate: fib(12) in OCaml, by a
+   small expression tree compiled to closures over boxed values, one
+   frame array per call — the same shape of work as the MiniPHP
+   interpreter's (indirect calls, branches, allocation) and the same
+   amount every run, on none of this project's code.  Host load that
+   slows one slows the other. *)
+type kval = KI of int
+
+type kexp =
+  | KArg
+  | KConst of int
+  | KLt of kexp * kexp
+  | KAdd of kexp * kexp
+  | KSub of kexp * kexp
+  | KIf of kexp * kexp * kexp
+  | KCall of kexp
+
+let rec kcompile (self : (kval array -> kval) ref) (e : kexp)
+  : kval array -> kval =
+  let bin f a b =
+    let a = kcompile self a and b = kcompile self b in
+    fun fr -> let KI x = a fr and KI y = b fr in KI (f x y)
+  in
+  match e with
+  | KArg -> fun fr -> fr.(0)
+  | KConst n -> fun _ -> KI n
+  | KLt (a, b) -> bin (fun x y -> if x < y then 1 else 0) a b
+  | KAdd (a, b) -> bin ( + ) a b
+  | KSub (a, b) -> bin ( - ) a b
+  | KIf (c, t, f) ->
+    let c = kcompile self c and t = kcompile self t and f = kcompile self f in
+    fun fr -> let KI b = c fr in if b <> 0 then t fr else f fr
+  | KCall a ->
+    let a = kcompile self a in
+    fun fr -> !self [| a fr |]
+
+let kfib : kval array -> kval =
+  let self = ref (fun _ -> KI 0) in
+  self :=
+    kcompile self
+      (KIf (KLt (KArg, KConst 2), KArg,
+            KAdd (KCall (KSub (KArg, KConst 1)),
+                  KCall (KSub (KArg, KConst 2)))));
+  !self
+
+let kernel_fib12 () = ignore (Sys.opaque_identity (kfib [| KI 12 |]))
+
+let min_of_batches ~(batches : int) ~(iters : int) (g : unit -> unit) : float =
+  g ();   (* warm: flatten, caches *)
+  let best = ref infinity in
+  for _ = 1 to batches do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to iters do g () done;
+    let dt = (Unix.gettimeofday () -. t0) /. float_of_int iters in
+    if dt < !best then best := dt
+  done;
+  !best *. 1e9
+
+type fib_vs_kernel = {
+  fk_fib_ns : float;      (* fastest sample *)
+  fk_kernel_ns : float;   (* fastest sample *)
+  fk_ratio : float;       (* fk_fib_ns / fk_kernel_ns *)
+  fk_samples : int;       (* samples of each, interleaved *)
+}
+
+(* [fib] and the kernel timed alternately, one [fib] call against ten
+   kernel calls at a time, so both see the same host load down to a
+   tenth of a millisecond.  Each keeps its fastest sample — preemption
+   and interrupts only ever add time — and the gate's estimate is the
+   ratio of the two. *)
+let fib12_vs_kernel (fib : unit -> unit) : fib_vs_kernel =
+  let samples = 600 in
+  let time iters g =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to iters do g () done;
+    (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9
+  in
+  Gc.compact ();
+  fib ();
+  kernel_fib12 ();
+  let best_f = ref infinity and best_k = ref infinity in
+  for _ = 1 to samples do
+    best_f := Float.min !best_f (time 1 fib);
+    best_k := Float.min !best_k (time 10 kernel_fib12)
+  done;
+  { fk_fib_ns = !best_f; fk_kernel_ns = !best_k;
+    fk_ratio = !best_f /. !best_k; fk_samples = samples }
+
+(** Run the bechamel pipeline microbenchmarks; returns (name, ns/run)
+    and the interpreter gate's measurement. *)
+let micro_results () : (string * float) list * fib_vs_kernel =
+  (* the interpreter micros record the min over timed batches, not an
+     OLS mean: the standard noise filter for a deterministic workload.
+     fib(12) gates CI as a ratio to the reference kernel, measured first,
+     before the compiler micros have grown the heap. *)
+  let interp_unit =
+    Vm.Loader.load
+      "function fib($n) { if ($n < 2) { return $n; } return fib($n-1) + fib($n-2); } \
+       function strarr($n) { \
+         $a = []; \
+         for ($i = 0; $i < $n; $i++) { $a[] = $i * 3; } \
+         $s = \"\"; $t = 0; \
+         foreach ($a as $k => $v) { $t = $t + $v - $k; if ($v % 7 == 0) { $s = $s . $v . \",\"; } } \
+         return strlen($s) + $t + count($a); \
+       }"
+  in
+  let interp_call name arg () =
+    let r = Vm.Interp.call_by_name interp_unit name [ Runtime.Value.VInt arg ] in
+    Runtime.Heap.decref r
+  in
+  let fib12 = fib12_vs_kernel (interp_call "fib" 12) in
   let open Bechamel in
   let open Toolkit in
   let src = Workloads.Endpoints.source in
@@ -212,41 +321,10 @@ let micro_results () : (string * float) list =
            tbl [])
       results
   in
-  (* fib(12) gates CI at a tight absolute threshold ([fib12_cap_ns]),
-     and an OLS *mean* over samples is too sensitive to host noise —
-     frequency dips and neighbors move it ±30% run to run.  Record the
-     min over timed batches instead: the standard noise filter for a
-     deterministic workload, stable to a few percent on the same hosts. *)
-  let interp_unit =
-    Vm.Loader.load
-      "function fib($n) { if ($n < 2) { return $n; } return fib($n-1) + fib($n-2); } \
-       function strarr($n) { \
-         $a = []; \
-         for ($i = 0; $i < $n; $i++) { $a[] = $i * 3; } \
-         $s = \"\"; $t = 0; \
-         foreach ($a as $k => $v) { $t = $t + $v - $k; if ($v % 7 == 0) { $s = $s . $v . \",\"; } } \
-         return strlen($s) + $t + count($a); \
-       }"
-  in
-  let min_of_batches ~(batches : int) ~(iters : int) (g : unit -> unit) : float =
-    g ();   (* warm: flatten, caches *)
-    let best = ref infinity in
-    for _ = 1 to batches do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do g () done;
-      let dt = (Unix.gettimeofday () -. t0) /. float_of_int iters in
-      if dt < !best then best := dt
-    done;
-    !best *. 1e9
-  in
-  let interp_call name arg () =
-    let r = Vm.Interp.call_by_name interp_unit name [ Runtime.Value.VInt arg ] in
-    Runtime.Heap.decref r
-  in
   let interp_micros =
     [ (* the dispatch-loop acceptance micro: recursion-heavy, call-dominated *)
-      ("pipeline/interp fib(12)",
-       min_of_batches ~batches:7 ~iters:300 (interp_call "fib" 12));
+      ("pipeline/interp fib(12)", fib12.fk_fib_ns);
+      ("reference kernel fib(12)", fib12.fk_kernel_ns);
       (* deeper recursion: long enough that per-batch noise washes out *)
       ("pipeline/interp fib(20)",
        min_of_batches ~batches:5 ~iters:6 (interp_call "fib" 20));
@@ -255,23 +333,31 @@ let micro_results () : (string * float) list =
       ("pipeline/interp strarr(200)",
        min_of_batches ~batches:7 ~iters:300 (interp_call "strarr" 200)) ]
   in
-  compiler_micros @ interp_micros |> List.sort compare
+  (compiler_micros @ interp_micros |> List.sort compare, fib12)
 
-(** Interpreter-regression cap: the threaded-dispatch rebuild (DESIGN.md
-    §11) put [pipeline/interp fib(12)] at ~120 µs. *)
-let fib12_cap_ns = 130_000.0
+(** Interpreter-regression cap on [fk_ratio], the interpreter's fib(12)
+    over the reference kernel's.  On a shared 2-vCPU x86-64 VM the ratio
+    read 12.8-14.4 over 30 runs, idle and beside one or two CPU-bound
+    neighbours, while fib(12) alone read 106-162 us.  A dispatch loop
+    slowed by six extra iterations per bytecode (fib(12) +16%) read
+    16.2-16.4.  The cap sits above the spread and below 1.2x its low
+    end, so a 20% slower interpreter trips it from any state seen. *)
+let fib12_ratio_cap = 15.0
 
 let micro () =
   hdr "Microbenchmarks: wall-clock time of the JIT pipeline (bechamel)"
     "(not in the paper; JIT-time engineering numbers)";
-  let results = micro_results () in
+  let results, fib12 = micro_results () in
   List.iter
     (fun (name, est) -> Printf.printf "%-32s %12.0f ns/run\n" name est)
     results;
-  let fib12 = List.assoc "pipeline/interp fib(12)" results in
-  if fib12 > fib12_cap_ns then begin
-    Printf.eprintf "ERROR: interp fib(12) %.0f ns exceeds the %.0f ns cap\n"
-      fib12 fib12_cap_ns;
+  Printf.printf "%-32s %12.2f (best of %d interleaved samples each, cap %.2f)\n"
+    "interp fib(12) / kernel" fib12.fk_ratio fib12.fk_samples fib12_ratio_cap;
+  if fib12.fk_ratio > fib12_ratio_cap then begin
+    Printf.eprintf
+      "ERROR: interp fib(12) is %.2fx the reference kernel, above the %.2fx \
+       cap\n"
+      fib12.fk_ratio fib12_ratio_cap;
     exit 1
   end
 

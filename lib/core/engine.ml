@@ -7,7 +7,18 @@
     ReqBind exits, which either chain directly into another translation
     (translation linking / retranslation chains) or resume the interpreter
     with the VM state the exit spec describes — including materializing
-    partially-inlined callee frames (§5.3.1). *)
+    partially-inlined callee frames (§5.3.1).
+
+    One dispatch path serves every domain (§2, §5.1: all request threads
+    run out of one published code cache).  The compile side writes the
+    live tables under the write lease and publishes them as an immutable
+    {!epoch}; every domain dispatches through its own {!dctx} — its
+    pinned epoch, its SimCPU machine, its monomorphic entry caches.  A
+    miss enqueues a translation request and tries the lease; the winner
+    drains the queue, adopts the epoch it just published (unless a
+    retranslate-all moved the generation meanwhile) and enters its new
+    code.  Bind jumps are smashed only under the lease.  With one serving
+    domain the lease is always free, so every miss compiles inline. *)
 
 open Runtime.Value
 module Rd = Region.Rdesc
@@ -16,26 +27,22 @@ type phase = PProfiling | POptimized
 
 (** Per-srckey translation slot: the retranslation chain as a growable
     array (publish is O(1) amortized and keeps insertion order — no list
-    re-walk per publish) plus the monomorphic last-hit entry cache.  The
-    cache remembers the last entry that matched here; re-entry validates
-    only that entry's guards before falling back to the full chain walk. *)
+    re-walk per publish). *)
 type slot = {
   mutable sl_chain : Translation.t array;  (* first [sl_len] are live *)
   mutable sl_len : int;
-  mutable sl_mono : (Translation.t * Translation.entry) option;
 }
 
 (** An immutable published snapshot of the dispatch state (paper §5.1's
-    publish step, generalized to parallel serving): the srckey tables and
-    retranslation chains frozen at a publish point, plus the translation-
-    link generation and the huge-page mapping of the hot section that were
-    current then.  The engine swaps the published epoch with one atomic
-    store; request-serving worker domains dispatch against their pinned
-    epoch and adopt the latest one only at request boundaries, so a
-    request racing a retranslate-all runs entirely on the old epoch or
-    entirely on the new one — never on a half-published chain.  Slots are
-    private trimmed copies, so later main-domain mutation (lazy compiles,
-    chain growth, mono-cache updates) cannot leak into a published view. *)
+    publish step): the srckey tables and retranslation chains frozen at a
+    publish point, plus the translation-link generation and the huge-page
+    mapping of the hot section that were current then.  The engine swaps
+    the published epoch with one atomic store; a domain dispatches against
+    the epoch it pinned and adopts the latest one at its next request
+    boundary, so a request racing a retranslate-all runs entirely on the
+    old generation or entirely on the new one — never on a half-published
+    chain.  Slots are private trimmed copies, so later compile-side
+    mutation cannot leak into a published view. *)
 type epoch = {
   ep_seq : int;                            (* publish sequence number *)
   ep_gen : int;                            (* link generation at publish *)
@@ -43,11 +50,31 @@ type epoch = {
   ep_huge : bool;                          (* hot-section huge-page map *)
   ep_main_lo : int;
   ep_main_hi : int;
+  (* (seq, fid, pc) of each srckey whose chain an eviction shrank in this
+     generation, newest first: a domain adopting past [seq] drops its
+     monomorphic entry there, so it never enters a victim *)
+  ep_pruned : (int * int * int) list;
 }
 
 let empty_epoch : epoch =
   { ep_seq = 0; ep_gen = 0; ep_trans = [||];
-    ep_huge = false; ep_main_lo = 0; ep_main_hi = 0 }
+    ep_huge = false; ep_main_lo = 0; ep_main_hi = 0; ep_pruned = [] }
+
+(** Monomorphic last-hit entry caches, dense by (fid, pc): re-entry
+    validates only the cached entry's guards before falling back to the
+    full chain walk. *)
+type mono = (Translation.t * Translation.entry) option array array
+
+(** A domain's dispatch context: its pinned epoch, its SimCPU machine
+    (i-cache, I-TLB, inline caches, per-translation counts) and its mono
+    caches, which mirror the epoch's slot dimensions.  The main domain's
+    wraps the engine's own machine; a serving worker's lives in
+    domain-local storage. *)
+type dctx = {
+  dx_machine : Exec.machine;
+  mutable dx_epoch : epoch;
+  mutable dx_mono : mono;
+}
 
 (** Retranslate-all sort inputs derived from the profile (C3 size table
     and resolved method-call edges).  Computing them re-scans the profile
@@ -67,7 +94,8 @@ type t = {
   hunit : Hhbc.Hunit.t;
   machine : Exec.machine;
   cache : Simcpu.Codecache.t;
-  (* dense per-function translation tables indexed by srckey pc:
+  (* the live tables, written under the write lease and published as
+     epochs.  Dense per-function translation tables indexed by srckey pc:
      trans.(fid).(pc) is the slot for that srckey (O(1), allocation-free
      lookup — no tuple hashing on the dispatch path) *)
   mutable trans : slot option array array;
@@ -89,26 +117,16 @@ type t = {
      adoption), prepared + placed forms aligned in publish order: the
      capture source for jumpstart images (§6.2) *)
   mutable last_opt : (Translation.prepared * int * Translation.t) array;
-  (* the epoch parallel-serving domains dispatch against; swapped with a
-     single atomic store by [publish_epoch] *)
+  (* the epoch every domain dispatches against; swapped with a single
+     atomic store by [publish_epoch] *)
   published : epoch Atomic.t;
+  (* the main domain's dispatch context, made on first use *)
+  mutable main_ctx : dctx option;
 }
 
-(** Per-domain serving state: the pinned epoch, a private SimCPU machine
-    (i-cache, I-TLB, inline caches), and a private monomorphic last-hit
-    table mirroring the epoch's slot dimensions.  Lives in domain-local
-    storage; the main domain has none and keeps the historical fully
-    mutable dispatch path. *)
-type serve_ctx = {
-  sx_machine : Exec.machine;
-  mutable sx_epoch : epoch;
-  mutable sx_mono : (Translation.t * Translation.entry) option array array;
-}
-
-let serve_key : serve_ctx option Domain.DLS.key =
+(* a serving worker's own dispatch context; [None] on the main domain *)
+let ctx_key : dctx option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
-
-let current : t option ref = ref None
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry handles (registered once, bumped through the handle)      *)
@@ -146,12 +164,11 @@ let c_retranslate = Obs.Vmstats.counter "retranslate.runs"
    Both record seconds, like every timer. *)
 let t_pause = Obs.Vmstats.timer "retranslate.pause"
 let t_compile = Obs.Vmstats.timer "retranslate.compile"
-(* parallel-serving dispatch: misses in a worker's frozen epoch, and the
-   subset that ended in the interpreter (lazy translation absorbs the
-   difference; with LAZY_TRANSLATE=0 the two counters coincide) *)
+(* dispatch misses in a domain's epoch, and the activations that ended
+   in the interpreter (lazy translation absorbs the difference) *)
 let c_serving_miss = Obs.Vmstats.counter "serving.translation_miss"
 let c_serving_fallback = Obs.Vmstats.counter "serving.interp_fallback"
-(* lazy in-burst translation under the write lease *)
+(* lazy translation under the write lease *)
 let c_lazy_compiled = Obs.Vmstats.counter "lazy_translate.compiled"
 let c_lazy_covered = Obs.Vmstats.counter "lazy_translate.covered"
 let c_lazy_entered = Obs.Vmstats.counter "lazy_translate.entered"
@@ -166,32 +183,15 @@ let c_tc_compact_runs = Obs.Vmstats.counter "tc.compact_runs"
 (* Translation tables                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let body_len (u : Hhbc.Hunit.t) (fid : int) : int =
-  Array.length (Hhbc.Hunit.func u fid).Hhbc.Instr.fn_body
+(* A dense table over the unit's srckeys, every cell [v]: one row per
+   function, one cell per pc plus one.  A unit gains no functions after
+   install, so the tables never grow. *)
+let fresh_rows (u : Hhbc.Hunit.t) (v : 'a) : 'a array array =
+  Array.init (Hhbc.Hunit.num_funcs u) (fun fid ->
+      Array.make
+        (Array.length (Hhbc.Hunit.func u fid).Hhbc.Instr.fn_body + 1) v)
 
-let fresh_trans (u : Hhbc.Hunit.t) : slot option array array =
-  Array.init (Hhbc.Hunit.num_funcs u)
-    (fun fid -> Array.make (body_len u fid + 1) None)
-
-let fresh_nocompile (u : Hhbc.Hunit.t) : bool array array =
-  Array.init (Hhbc.Hunit.num_funcs u)
-    (fun fid -> Array.make (body_len u fid + 1) false)
-
-(** Grow the outer tables if the unit gained functions after install. *)
-let ensure_fid (eng : t) (fid : int) : unit =
-  if fid >= Array.length eng.trans then begin
-    let n = max (Hhbc.Hunit.num_funcs eng.hunit) (fid + 1) in
-    let grow old mk =
-      Array.init n
-        (fun i -> if i < Array.length old then old.(i) else mk i)
-    in
-    eng.trans <-
-      grow eng.trans (fun i -> Array.make (body_len eng.hunit i + 1) None);
-    eng.nocompile <-
-      grow eng.nocompile (fun i -> Array.make (body_len eng.hunit i + 1) false)
-  end
-
-(** Slot lookup in a dense srckey table: the live [eng.trans] or a frozen
+(** Slot lookup in a dense srckey table: the live [eng.trans] or an
     epoch's [ep_trans]. *)
 let slot_at (tbl : slot option array array) (fid : int) (pc : int)
   : slot option =
@@ -201,33 +201,18 @@ let slot_at (tbl : slot option array array) (fid : int) (pc : int)
   else None
 
 let get_or_create_slot (eng : t) (fid : int) (pc : int) : slot =
-  ensure_fid eng fid;
-  let row = eng.trans.(fid) in
-  let row =
-    if pc < Array.length row then row
-    else begin
-      let bigger = Array.make (pc + 1) None in
-      Array.blit row 0 bigger 0 (Array.length row);
-      eng.trans.(fid) <- bigger;
-      bigger
-    end
-  in
-  match row.(pc) with
+  match eng.trans.(fid).(pc) with
   | Some sl -> sl
   | None ->
-    let sl = { sl_chain = [||]; sl_len = 0; sl_mono = None } in
-    row.(pc) <- Some sl;
+    let sl = { sl_chain = [||]; sl_len = 0 } in
+    eng.trans.(fid).(pc) <- Some sl;
     sl
 
 let no_compile (eng : t) (fid : int) (pc : int) : bool =
-  fid < Array.length eng.nocompile
-  && pc < Array.length eng.nocompile.(fid)
-  && eng.nocompile.(fid).(pc)
+  eng.nocompile.(fid).(pc)
 
 let mark_no_compile (eng : t) (fid : int) (pc : int) : unit =
-  ensure_fid eng fid;
-  let row = eng.nocompile.(fid) in
-  if pc < Array.length row then row.(pc) <- true
+  eng.nocompile.(fid).(pc) <- true
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -255,8 +240,8 @@ let weights_for ?(snapshot : Region.Transcfg.snapshot option)
 (** The compile phase of a translation: region -> HHIR -> passes -> vasm
     -> register allocation -> prepared (section-relative) code.  Touches
     no engine or code-cache state, so retranslate-all runs it on worker
-    domains; [snapshot] supplies block weights there (the live profile
-    counters are main-domain state).  Returns the prepared translation
+    domains; [snapshot] supplies block weights there (the canonical
+    profile keeps moving while requests serve).  Returns the prepared translation
     and the region's block count (trace metadata for publish). *)
 let prepare_region (eng : t) ~(snapshot : Region.Transcfg.snapshot option)
     ~(fid : int) ~(region : Rd.t) ~(kind : Translation.kind)
@@ -293,7 +278,7 @@ let prepare_region (eng : t) ~(snapshot : Region.Transcfg.snapshot option)
    List.length region.Rd.r_blocks)
 
 (** The publish half: place the prepared translation in the code cache and
-    account for it.  Serial, main domain only — code-cache offsets,
+    account for it.  Serial, write-lease holder only — code-cache offsets,
     translation ids and trace sequence numbers are assigned here, in
     whatever order the caller dictates. *)
 let finish_translation (eng : t) ((pr : Translation.prepared), (nblocks : int))
@@ -320,11 +305,6 @@ let finish_translation (eng : t) ((pr : Translation.prepared), (nblocks : int))
     Obs.Vmstats.bump c_tr_rejected;
     None
 
-(** Compile a region into an assembled translation (serial path). *)
-let compile_region (eng : t) ~(fid : int) ~(region : Rd.t)
-    ~(kind : Translation.kind) : Translation.t option =
-  finish_translation eng (prepare_region eng ~snapshot:None ~fid ~region ~kind)
-
 let publish (eng : t) (tr : Translation.t) =
   let sl = get_or_create_slot eng tr.tr_fid tr.tr_srckey in
   if sl.sl_len = Array.length sl.sl_chain then begin
@@ -336,11 +316,9 @@ let publish (eng : t) (tr : Translation.t) =
   sl.sl_len <- sl.sl_len + 1
 
 (** Lazily compile a live or profiling translation at (fid, pc), reading
-    input types through [oracle].  The serial path feeds it the live
-    frame; the lazy in-burst path (write-lease drain) feeds it the type
-    vectors captured when a serving worker missed.  Caller must be the
-    single compile-side writer: the main domain outside a burst, or the
-    write-lease holder during one. *)
+    input types through [oracle] — the type vectors a translation request
+    captured when its domain missed.  Write-lease holder only: it is the
+    single compile-side writer. *)
 let compile_at (eng : t) ~(fid : int) ~(pc : int)
     ~(oracle : Rd.loc -> Hhbc.Rtype.t) : Translation.t option =
   if no_compile eng fid pc then None
@@ -379,28 +357,25 @@ let compile_at (eng : t) ~(fid : int) ~(pc : int)
         then Region.Relax.run region
         else region
       in
-      match compile_region eng ~fid ~region ~kind with
+      match
+        finish_translation eng
+          (prepare_region eng ~snapshot:None ~fid ~region ~kind)
+      with
       | Some tr ->
-        (match kind with
-         | Translation.KLive ->
-           eng.n_live <- eng.n_live + 1;
-           let cc = live_compile_cycles block.b_len in
-           Runtime.Ledger.charge_jit cc;
-           if Obs.Profiler.on () then
-             Obs.Profiler.record
-               ~frames:[ "jit-compile";
-                         (Hhbc.Hunit.func eng.hunit fid).fn_name ]
-               ~cycles:cc
-         | Translation.KProfiling ->
-           eng.n_profiling <- eng.n_profiling + 1;
-           let cc = prof_compile_cycles block.b_len in
-           Runtime.Ledger.charge_jit cc;
-           if Obs.Profiler.on () then
-             Obs.Profiler.record
-               ~frames:[ "jit-compile";
-                         (Hhbc.Hunit.func eng.hunit fid).fn_name ]
-               ~cycles:cc
-         | Translation.KOptimized -> ());
+        let cc =
+          if kind = Translation.KLive then begin
+            eng.n_live <- eng.n_live + 1;
+            live_compile_cycles block.b_len
+          end else begin
+            eng.n_profiling <- eng.n_profiling + 1;
+            prof_compile_cycles block.b_len
+          end
+        in
+        Runtime.Ledger.charge_jit cc;
+        if Obs.Profiler.on () then
+          Obs.Profiler.record
+            ~frames:[ "jit-compile"; (Hhbc.Hunit.func eng.hunit fid).fn_name ]
+            ~cycles:cc;
         publish eng tr;
         Some tr
       | None ->
@@ -409,17 +384,6 @@ let compile_at (eng : t) ~(fid : int) ~(pc : int)
         None
     end
   end
-
-(** Lazily compile a translation for the live (frame, pc) — the serial
-    main-domain path. *)
-let compile_lazy (eng : t) (frame : Vm.Interp.frame) (pc : int)
-  : Translation.t option =
-  let oracle (loc : Rd.loc) : Hhbc.Rtype.t =
-    match loc with
-    | Rd.LLocal l -> Hhbc.Rtype.of_value frame.locals.(l)
-    | Rd.LStack d -> Hhbc.Rtype.of_value frame.stack.(frame.sp - 1 - d)
-  in
-  compile_at eng ~fid:frame.func.fn_id ~pc ~oracle
 
 (* ------------------------------------------------------------------ *)
 (* Entering compiled code                                              *)
@@ -477,44 +441,33 @@ let chain_find (m : Exec.machine) (frame : Vm.Interp.frame) (sl : slot)
   done;
   !found
 
-(** Find a translation entry whose preconditions hold for the live state.
-    The monomorphic last-hit cache is consulted first: steady-state
-    re-entry validates only the cached entry's guards instead of walking
-    the whole retranslation chain.  On the main domain the cache lives in
-    the slot itself; a serving worker ([sx]) reads the frozen epoch's
-    slots and keeps the mono cache in its own domain-local table (frozen
-    slots are shared across domains and must not be written).  [m] is
-    the domain's machine: the probes charge and count through it. *)
-let select_entry (eng : t) (sx : serve_ctx option) (m : Exec.machine)
-    (frame : Vm.Interp.frame) (pc : int)
+(* [c]'s mono cache at (fid, pc); reads and writes bound themselves by
+   the table's dimensions *)
+let mono_ok (c : dctx) (fid : int) (pc : int) : bool =
+  fid < Array.length c.dx_mono && pc < Array.length c.dx_mono.(fid)
+
+let mono_get (c : dctx) (fid : int) (pc : int)
   : (Translation.t * Translation.entry) option =
+  if mono_ok c fid pc then c.dx_mono.(fid).(pc) else None
+
+let mono_set (c : dctx) (fid : int) (pc : int) v : unit =
+  if mono_ok c fid pc then c.dx_mono.(fid).(pc) <- v
+
+(** Find a translation entry in [c]'s epoch whose preconditions hold for
+    the live state.  The domain's monomorphic last-hit cache is consulted
+    first: steady-state re-entry validates only the cached entry's guards
+    instead of walking the whole retranslation chain.  The probes charge
+    and count through the domain's machine. *)
+let select_entry (eng : t) (c : dctx) (frame : Vm.Interp.frame) (pc : int)
+  : (Translation.t * Translation.entry) option =
+  let m = c.dx_machine in
   let fid = frame.func.fn_id in
-  let slot =
-    match sx with
-    | None -> slot_at eng.trans fid pc
-    | Some c -> slot_at c.sx_epoch.ep_trans fid pc
-  in
-  match slot with
+  match slot_at c.dx_epoch.ep_trans fid pc with
   | None -> None
   | Some sl ->
-    let mono_get () =
-      match sx with
-      | None -> sl.sl_mono
-      | Some c ->
-        if fid < Array.length c.sx_mono && pc < Array.length c.sx_mono.(fid)
-        then c.sx_mono.(fid).(pc)
-        else None
-    in
-    let mono_set v =
-      match sx with
-      | None -> sl.sl_mono <- v
-      | Some c ->
-        if fid < Array.length c.sx_mono && pc < Array.length c.sx_mono.(fid)
-        then c.sx_mono.(fid).(pc) <- v
-    in
     let mono_hit =
       if eng.opts.dispatch_caches then
-        match mono_get () with
+        match mono_get c fid pc with
         | Some (_, en) as hit when entry_matches m frame en ->
           Obs.Vmstats.bump_on m.Exec.vstats c_mono_hit;
           hit
@@ -531,7 +484,7 @@ let select_entry (eng : t) (sx : serve_ctx option) (m : Exec.machine)
        | Some _ ->
          Obs.Vmstats.bump_on m.Exec.vstats c_chain_hit;
          Obs.Vmstats.observe_on m.Exec.vstats h_chain_len sl.sl_len;
-         if eng.opts.dispatch_caches then mono_set found
+         if eng.opts.dispatch_caches then mono_set c fid pc found
        | None -> Obs.Vmstats.bump_on m.Exec.vstats c_chain_miss);
       found
 
@@ -541,31 +494,30 @@ let select_entry (eng : t) (sx : serve_ctx option) (m : Exec.machine)
 
 (** Publish the dispatch state as a new immutable epoch (single atomic
     store).  Rows are rebuilt from the live tables as trimmed private slot
-    copies, so no later main-domain mutation (lazy compiles, chain growth,
-    mono-cache updates) can reach a published view; in-flight requests
-    keep dispatching on the epoch they pinned and adopt this one at their
-    next request boundary.
+    copies, so no later compile-side mutation (lazy compiles, chain
+    growth) can reach a published view; in-flight requests keep
+    dispatching on the epoch they pinned and adopt this one at their next
+    request boundary.
 
     Without [fids] every row is rebuilt: [install] (the empty gen-0
-    epoch), the end of every retranslate-all, compaction, jumpstart
-    adoption, and a scheduler before fanning out.  With [~fids] only those
-    functions' rows are rebuilt and every other row is shared with the
-    previous epoch: a queue drain passes the functions its translations
-    landed in, an eviction those whose chains shrank.  This is exact
-    because inside a burst every write to [eng.trans] happens under the
-    write lease and is followed by a publish, and the burst starts with a
-    full one — the live rows are the previous epoch's rows plus what was
-    just drained or evicted.  Only a [~fids] publish counts as
-    [epoch.delta_publish]; [~fids:[]] publishes nothing.  Write-lease
-    holder (or main domain) only, so the sequence of epochs is total. *)
-let publish_epoch ?(fids : int list option) (eng : t) : unit =
+    epoch), the end of every retranslate-all, compaction and jumpstart
+    adoption.  With [~fids] only those functions' rows are rebuilt and
+    every other row is shared with the previous epoch: a queue drain
+    passes the functions its translations landed in, an eviction those
+    whose chains shrank (and, as [pruned], the srckeys).  This is exact
+    because every write to [eng.trans] happens under the write lease and
+    is followed by a publish — the live rows are the previous epoch's
+    rows plus what was just drained or evicted.  Only a [~fids] publish
+    counts as [epoch.delta_publish]; [~fids:[]] publishes nothing.
+    Write-lease holder (or [install], before anything dispatches) only,
+    so the sequence of epochs is total. *)
+let publish_epoch ?(fids : int list option) ?(pruned = []) (eng : t) : unit =
   if fids <> Some [] then begin
     let freeze_row =
       Array.map
         (Option.map (fun (sl : slot) ->
              { sl_chain = Array.sub sl.sl_chain 0 sl.sl_len;
-               sl_len = sl.sl_len;
-               sl_mono = None }))
+               sl_len = sl.sl_len }))
     in
     let prev = Atomic.get eng.published in
     let ep_trans =
@@ -573,46 +525,101 @@ let publish_epoch ?(fids : int list option) (eng : t) : unit =
       | None -> Array.map freeze_row eng.trans
       | Some fids ->
         Obs.Vmstats.bump c_epoch_delta;
-        let rows =
-          Array.init (Array.length eng.trans) (fun fid ->
-              if fid < Array.length prev.ep_trans then prev.ep_trans.(fid)
-              else [||])
-        in
+        let rows = Array.copy prev.ep_trans in
         List.iter (fun fid -> rows.(fid) <- freeze_row eng.trans.(fid)) fids;
         rows
     in
+    let seq = prev.ep_seq + 1 in
     let lo, hi = Simcpu.Codecache.main_range eng.cache in
     Atomic.set eng.published
-      { ep_seq = prev.ep_seq + 1;
+      { ep_seq = seq;
         ep_gen = eng.generation;
         ep_trans;
         ep_huge = eng.opts.huge_pages && eng.optimized_published;
         ep_main_lo = lo;
-        ep_main_hi = hi }
+        ep_main_hi = hi;
+        ep_pruned =
+          List.fold_left (fun acc (fid, pc) -> (seq, fid, pc) :: acc)
+            (if prev.ep_gen = eng.generation then prev.ep_pruned else [])
+            pruned }
   end
 
 (* ------------------------------------------------------------------ *)
-(* Lazy in-burst translation (write lease + incremental epoch publish) *)
+(* Per-domain dispatch contexts and epoch adoption                     *)
 (* ------------------------------------------------------------------ *)
 
-(* First entry of [tr] whose guards are subsumed by the captured types —
-   the entry the requester's chain walk would have selected. *)
-let entry_for_types (tr : Translation.t) ~(locals : Hhbc.Rtype.t array)
-    ~(stack : Hhbc.Rtype.t array) : Translation.entry option =
-  let entries = tr.Translation.tr_entries in
-  let rec go j =
-    if j >= Array.length entries then None
-    else if Translation.entry_covers ~locals ~stack entries.(j) then
-      Some entries.(j)
-    else go (j + 1)
-  in
-  go 0
+let fresh_mono (ep : epoch) : mono =
+  Array.map (fun row -> Array.make (Array.length row) None) ep.ep_trans
+
+(* Map [ep]'s hot section onto huge pages on [m]'s I-TLB, unless that is
+   already its mapping (a reset would cost the next fetch its page). *)
+let apply_epoch_itlb (m : Exec.machine) (ep : epoch) : unit =
+  let tlb = m.Exec.itlb in
+  if tlb.Simcpu.Itlb.huge <> ep.ep_huge
+  || (ep.ep_huge
+      && (tlb.Simcpu.Itlb.huge_lo <> ep.ep_main_lo
+          || tlb.Simcpu.Itlb.huge_hi <> ep.ep_main_hi))
+  then
+    Simcpu.Itlb.set_huge tlb ~enabled:ep.ep_huge ~lo:ep.ep_main_lo
+      ~hi:ep.ep_main_hi
+
+let new_ctx (m : Exec.machine) (ep : epoch) : dctx =
+  apply_epoch_itlb m ep;
+  { dx_machine = m; dx_epoch = ep; dx_mono = fresh_mono ep }
+
+(** The calling domain's dispatch context: a serving worker's own, else
+    the main domain's, made on first use around the engine's machine. *)
+let ctx (eng : t) : dctx =
+  match Domain.DLS.get ctx_key with
+  | Some c -> c
+  | None ->
+    match eng.main_ctx with
+    | Some c -> c
+    | None ->
+      let c = new_ctx eng.machine (Atomic.get eng.published) in
+      eng.main_ctx <- Some c;
+      c
+
+(** Pin [ep] in [c].  A new generation drops every mono cache (their
+    entries are dead translations); a same-generation epoch drops only
+    those at srckeys an eviction pruned since [c]'s epoch, so after the
+    adoption [c] never enters a translation [ep] does not hold.  The I-TLB
+    follows the epoch's hot-section mapping. *)
+let adopt (c : dctx) (ep : epoch) : unit =
+  let old = c.dx_epoch in
+  if ep.ep_seq <> old.ep_seq then begin
+    if Obs.Span.on () then Obs.Span.count Obs.Span.Adopt;
+    c.dx_epoch <- ep;
+    if ep.ep_gen <> old.ep_gen then c.dx_mono <- fresh_mono ep
+    else begin
+      let rec drop = function
+        | (seq, fid, pc) :: rest when seq > old.ep_seq ->
+          mono_set c fid pc None;
+          drop rest
+        | _ -> ()
+      in
+      drop ep.ep_pruned
+    end;
+    apply_epoch_itlb c.dx_machine ep
+  end
+
+(* Retranslate-all, eviction, compaction and jumpstart adoption run
+   between requests: the domain that ran one adopts its epoch at once. *)
+let adopt_here (eng : t) : unit =
+  let ep = Atomic.get eng.published in
+  match Domain.DLS.get ctx_key with
+  | Some c -> adopt c ep
+  | None -> Option.iter (fun c -> adopt c ep) eng.main_ctx
+
+(* ------------------------------------------------------------------ *)
+(* Lazy translation (write lease + incremental epoch publish)          *)
+(* ------------------------------------------------------------------ *)
 
 (** Drain the translation-request queue under the write lease: compile
     each request against the live profile/TransCFG state (which the lease
     protects), smash the requesting bind jumps, and publish everything
-    that landed as one epoch delta.  Requests are consumed in
-    queue-sequence order, so translation ids, code-cache offsets,
+    that landed as one epoch delta.  Requests are consumed in queue
+    order, so translation ids, code-cache offsets,
     inline-cache ids and link smashes are assigned in a canonical
     schedule-independent order per queue history.  Caller MUST hold the
     write lease. *)
@@ -624,25 +631,24 @@ let drain_translation_queue (eng : t) : unit =
         and pc = rq.Translate_queue.rq_pc
         and locals = rq.Translate_queue.rq_locals
         and stack = rq.Translate_queue.rq_stack in
+        (* the first entry of a translation whose guards the captured
+           types pass: the entry the requester's chain walk would take *)
+        let entry_for (tr : Translation.t) =
+          Array.find_opt (Translation.entry_covers ~locals ~stack)
+            tr.Translation.tr_entries
+        in
         if not (no_compile eng fid pc) then begin
-          let sl = slot_at eng.trans fid pc in
-          let chain_len = match sl with Some sl -> sl.sl_len | None -> 0 in
-          (* authoritative dedup: an earlier drain (or the requester's
-             pre-burst warmup) may already cover these types — the
-             requester just hasn't adopted the epoch that has it *)
-          let covered =
-            match sl with
-            | None -> false
-            | Some sl ->
-              let rec any i =
-                i < sl.sl_len
-                && (entry_for_types sl.sl_chain.(i) ~locals ~stack <> None
-                    || any (i + 1))
-              in
-              any 0
+          let chain =
+            match slot_at eng.trans fid pc with
+            | Some sl -> Array.sub sl.sl_chain 0 sl.sl_len
+            | None -> [||]
           in
+          (* authoritative dedup: an earlier drain may already cover
+             these types — the requester just hasn't adopted the epoch
+             that has it *)
+          let covered = Array.exists (fun tr -> entry_for tr <> None) chain in
           if covered then Obs.Vmstats.bump c_lazy_covered
-          else if chain_len < eng.opts.max_live_per_srckey then begin
+          else if Array.length chain < eng.opts.max_live_per_srckey then begin
             let oracle (loc : Rd.loc) : Hhbc.Rtype.t =
               match loc with
               | Rd.LLocal l ->
@@ -661,7 +667,7 @@ let drain_translation_queue (eng : t) : unit =
                  the entry's guards in any case) *)
               (match rq.Translate_queue.rq_via with
                | Some (src, eid) when eng.opts.dispatch_caches ->
-                 (match entry_for_types tr ~locals ~stack with
+                 (match entry_for tr with
                   | Some en ->
                     let lk = src.Translation.tr_links.(eid) in
                     lk.Translation.lk_target <- Some (tr, en);
@@ -684,22 +690,31 @@ let drain_translation_queue (eng : t) : unit =
         ("compiled", Obs.Trace.I (List.length landed));
         ("epoch", Obs.Trace.I (Atomic.get eng.published).ep_seq) ]
 
-(** Frozen-dispatch miss with lazy translation on: capture the frame's
-    types, enqueue a translation request, and try to win the write lease.
-    The winner drains the whole queue (its own request included) and —
-    still under the lease, while [eng.trans] is stable — looks its own
-    answer up so it can enter the fresh code immediately, exactly like
-    the single-domain lazy path; losers return [None] and interpret,
-    adopting the result via the epoch delta at a later request boundary. *)
-let lazy_translate_miss (eng : t) (m : Exec.machine)
-    (frame : Vm.Interp.frame) (pc : int)
+(** A miss in [c]'s epoch.  Unless the srckey's chain is at its cap or
+    marked no-compile (checked before anything is captured, so a miss that
+    cannot compile costs only the lookup), capture the frame's types,
+    enqueue a translation request and try to win the write lease.  The
+    winner drains the whole queue (its own request included), adopts the
+    epoch the drain published — unless the generation moved since [c]
+    pinned its epoch, which a request never straddles — and enters its
+    new code through {!select_entry}; losers return [None] and interpret,
+    adopting the result at a later request boundary. *)
+let translate_miss (eng : t) (c : dctx) (frame : Vm.Interp.frame) (pc : int)
     ~(via : (Translation.t * int) option)
   : (Translation.t * Translation.entry) option =
   let fid = frame.func.fn_id in
+  Obs.Vmstats.bump_on c.dx_machine.Exec.vstats c_serving_miss;
+  let chain_len =
+    match slot_at c.dx_epoch.ep_trans fid pc with
+    | Some sl -> sl.sl_len
+    | None -> 0
+  in
   (* racy read of [nocompile] (rows are replaced wholesale under the
      lease): a stale [true] skips a request that would be rejected
      anyway, a stale [false] is re-checked at drain time *)
-  if no_compile eng fid pc then None
+  if (not eng.opts.lazy_translate)
+  || chain_len >= eng.opts.max_live_per_srckey || no_compile eng fid pc
+  then None
   else begin
     let locals = Array.map Hhbc.Rtype.of_value frame.locals in
     let stack =
@@ -722,12 +737,14 @@ let lazy_translate_miss (eng : t) (m : Exec.machine)
                 ((Runtime.Ledger.acct ()).Runtime.Ledger.a_cycles - lw0))
         (fun () ->
           drain_translation_queue eng;
-          match slot_at eng.trans fid pc with
-          | None -> None
-          | Some sl ->
-            let found = chain_find m frame sl in
+          let ep = Atomic.get eng.published in
+          if ep.ep_gen <> c.dx_epoch.ep_gen then None
+          else begin
+            adopt c ep;
+            let found = select_entry eng c frame pc in
             if found <> None then Obs.Vmstats.bump c_lazy_entered;
-            found)
+            found
+          end)
     else None
   end
 
@@ -759,34 +776,56 @@ let materialize_inline (eng : t) (tr : Translation.t)
            (fun _ -> { Vm.Interp.it_arr = None; it_pos = 0 }));
     acct = Vm.Interp.no_acct; pc_ = 0; ret_ = VUninit; cyc_ = 0; icnt_ = 0 }
 
+(** Smash the bind jump [src]'s exit [eid] to [found] — only under the
+    write lease, taken without waiting (a domain that cannot have it
+    leaves the link as it is), and only to a live translation of the
+    engine's current generation.  Target first, then generation, the
+    drain's discipline: a racing reader sees a dead link or a fully
+    written one, and re-validates the entry's guards in any case. *)
+let smash_link (eng : t) (c : dctx) ~(src : Translation.t) ~(eid : int)
+    (found : (Translation.t * Translation.entry) option) : unit =
+  match found with
+  | None -> ()
+  | Some (dst, den) ->
+    let lk = src.Translation.tr_links.(eid) in
+    let already =
+      match lk.Translation.lk_target with
+      | Some (t, e) -> t == dst && e == den && lk.Translation.lk_gen = eng.generation
+      | None -> false
+    in
+    if (not already) && Translate_queue.try_acquire () then begin
+      let ok =
+        c.dx_epoch.ep_gen = eng.generation && not dst.Translation.tr_evicted
+      in
+      if ok then begin
+        lk.Translation.lk_target <- found;
+        lk.Translation.lk_gen <- eng.generation;
+        Obs.Vmstats.bump c_link_smashed
+      end;
+      Translate_queue.release ();
+      if ok && Obs.Trace.on Obs.Trace.Link then
+        Obs.Trace.emit Obs.Trace.Link
+          [ ("event", Obs.Trace.S "smash");
+            ("src", Obs.Trace.I src.Translation.tr_id);
+            ("exit", Obs.Trace.I eid);
+            ("dst", Obs.Trace.I dst.Translation.tr_id) ]
+    end
+
 (** Attempt to enter compiled code at (frame, pc); handles chaining through
     exits until compiled execution ends.  This function implements the
-    [translation_hook] contract.
-
-    Two dispatch modes share this body.  On the main domain ([sx = None])
-    the historical fully mutable path runs: lazy compilation on misses,
-    bind-jump smashing, slot-resident mono caches, TransCFG arc recording.
-    On a serving worker ([sx = Some _]) the frozen path runs: lookups hit
-    the pinned epoch only, and a miss either falls back to the
-    interpreter or, with lazy translation on, enqueues a translation
-    request — a worker that wins the write lease drains the queue and
-    compiles under it, so the shared code cache and id allocators only
-    ever have one writer.  Links are followed read-only against the
-    epoch's generation but never smashed, and the machine is the
-    worker's own. *)
+    [translation_hook] contract, on every domain alike: lookups, link
+    follows and counts go through the calling domain's {!dctx}, a miss
+    goes to {!translate_miss}, and a resolved exit is smashed with
+    {!smash_link}. *)
 let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
   : Vm.Interp.enter_result =
-  let sx = Domain.DLS.get serve_key in
-  let machine, gen =
-    match sx with
-    | None -> eng.machine, eng.generation
-    | Some c -> c.sx_machine, c.sx_epoch.ep_gen
-  in
+  let c = ctx eng in
+  let machine = c.dx_machine in
   (* the machine's account is this domain's: a frame the interpreter
      runs after this takes it instead of reading the domain-local key *)
   if frame.acct == Vm.Interp.no_acct then frame.acct <- machine.Exec.ledger;
-  let frozen = sx <> None in
-  let prev_prof_block : int option ref = ref None in
+  (* the last profiling block entered, for TransCFG arcs; -1 for none *)
+  let prev_prof_block = ref (-1) in
   (* [via] is the (translation, exit id) we are chaining out of, if any:
      when the exit's target resolves, the link is memoized there so later
      exits skip the table lookup and chain walk entirely — the software
@@ -798,14 +837,14 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
         match via with
         | Some (src, eid) when eng.opts.dispatch_caches ->
           let lk = src.Translation.tr_links.(eid) in
-          if lk.Translation.lk_gen = gen then
+          if lk.Translation.lk_gen = c.dx_epoch.ep_gen then
             (match lk.Translation.lk_target with
              | Some (_, en) as tgt when entry_matches machine frame en ->
                Obs.Vmstats.bump_on machine.Exec.vstats c_link_follow;
                tgt
              | _ -> None)
           else begin
-            (* smashed in a previous generation; dead since retranslate-all *)
+            (* smashed in another generation: dead to this epoch *)
             if lk.Translation.lk_target <> None then
               Obs.Vmstats.bump_on machine.Exec.vstats c_link_stale;
             None
@@ -816,87 +855,43 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
       | Some _ -> linked
       | None ->
         let found =
-          match select_entry eng sx machine frame pc with
-          | Some e -> Some e
-          | None ->
-            if frozen then begin
-              (* a serving worker missed in its frozen epoch *)
-              Obs.Vmstats.bump_on machine.Exec.vstats c_serving_miss;
-              if eng.opts.mode = Jit_options.Interp
-              || not eng.opts.lazy_translate
-              then None
-              else lazy_translate_miss eng machine frame pc ~via
-            end
-            else if eng.opts.mode = Jit_options.Interp then None
-            else begin
-              (* lazy compilation; limit chain growth per srckey *)
-              let chain_len =
-                match slot_at eng.trans frame.func.fn_id pc with
-                | Some sl -> sl.sl_len
-                | None -> 0
-              in
-              if chain_len >= eng.opts.max_live_per_srckey then None
-              else
-                match compile_lazy eng frame pc with
-                | Some _ -> select_entry eng sx machine frame pc
-                | None -> None
-            end
+          match select_entry eng c frame pc with
+          | Some _ as e -> e
+          | None -> translate_miss eng c frame pc ~via
         in
-        (* smash the bind: remember this exit's resolved target.  Frozen
-           dispatch never smashes: links are shared, mutable, and owned by
-           the main domain's current generation. *)
-        (match found, via with
-         | Some (dst, _), Some (src, eid)
-           when eng.opts.dispatch_caches && not frozen ->
-           let lk = src.Translation.tr_links.(eid) in
-           lk.Translation.lk_gen <- eng.generation;
-           lk.Translation.lk_target <- found;
-           Obs.Vmstats.bump c_link_smashed;
-           if Obs.Trace.on Obs.Trace.Link then
-             Obs.Trace.emit Obs.Trace.Link
-               [ ("event", Obs.Trace.S "smash");
-                 ("src", Obs.Trace.I src.Translation.tr_id);
-                 ("exit", Obs.Trace.I eid);
-                 ("dst", Obs.Trace.I dst.Translation.tr_id) ]
+        (match via with
+         | Some (src, eid) when eng.opts.dispatch_caches ->
+           smash_link eng c ~src ~eid found
          | _ -> ());
         found
     in
     match entry with
     | None ->
-      if frozen then begin
-        Obs.Vmstats.bump_on machine.Exec.vstats c_serving_fallback;
-        if Obs.Span.on () then Obs.Span.count Obs.Span.Interp
-      end;
+      Obs.Vmstats.bump_on machine.Exec.vstats c_serving_fallback;
+      if Obs.Span.on () then Obs.Span.count Obs.Span.Interp;
       if first then Vm.Interp.NoTranslation else Vm.Interp.Resumed pc
     | Some (tr, en) ->
       let rb = en.Translation.en_block and idx = en.Translation.en_idx in
-      (* record TransCFG arcs between consecutive profiling blocks (§4.2) *)
       (* profiling translations carry instrumentation beyond the block
          counter (targeted profiles, §4.1 item 4); charge its overhead at
-         each entry *)
+         each entry, and record the TransCFG arc from the previous
+         profiling block (§4.2) in the domain's profile *)
       if tr.tr_kind = Translation.KProfiling then begin
         Runtime.Ledger.charge_jit_on machine.Exec.ledger 45;
         if Obs.Profiler.on () then
-          Obs.Profiler.record ~frames:[ "jit-instrument" ] ~cycles:45
-      end;
-      (match tr.tr_kind with
-       | Translation.KProfiling ->
-         (match !prev_prof_block with
-          | Some src ->
-            if Obs.Trace.on Obs.Trace.Link then
-              Obs.Trace.emit Obs.Trace.Link
-                [ ("event", Obs.Trace.S "arc");
-                  ("src", Obs.Trace.I src);
-                  ("dst", Obs.Trace.I rb.Rd.b_id) ];
-            (* the TransCFG arc registry is main-domain state (global
-               hashtables); frozen dispatch drops arcs rather than race it.
-               The per-block counters and targeted profiles still count
-               per domain through Vm.Prof, so worker profiling weight is
-               not lost. *)
-            if not frozen then Region.Transcfg.record_arc ~src ~dst:rb.Rd.b_id
-          | None -> ());
-         prev_prof_block := Some rb.Rd.b_id
-       | _ -> prev_prof_block := None);
+          Obs.Profiler.record ~frames:[ "jit-instrument" ] ~cycles:45;
+        let src = !prev_prof_block in
+        if src >= 0 then begin
+          if Obs.Trace.on Obs.Trace.Link then
+            Obs.Trace.emit Obs.Trace.Link
+              [ ("event", Obs.Trace.S "arc");
+                ("src", Obs.Trace.I src);
+                ("dst", Obs.Trace.I rb.Rd.b_id) ];
+          Vm.Prof.record_arc ~src ~dst:rb.Rd.b_id
+        end;
+        prev_prof_block := rb.Rd.b_id
+      end
+      else prev_prof_block := -1;
       let entry_sp = frame.sp in
       let outcome = Exec.run machine tr.tr_prog ~entry:idx ~frame ~entry_sp in
       let vs = machine.Exec.vstats in
@@ -982,6 +977,17 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
 (* Whole-program reoptimization (§5.1)                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* [f] on every link slot of every translation in the live tables *)
+let iter_links (eng : t) (f : Translation.link -> unit) : unit =
+  Array.iter
+    (Array.iter (function
+       | Some sl ->
+         for i = 0 to sl.sl_len - 1 do
+           Array.iter f sl.sl_chain.(i).Translation.tr_links
+         done
+       | None -> ()))
+    eng.trans
+
 (** Estimate a function's code size from its profiled blocks (for C3). *)
 let func_size_estimate (fid : int) : int =
   match Hashtbl.find_opt Region.Transcfg.blocks_by_func fid with
@@ -1060,25 +1066,13 @@ let retranslate_all_locked (eng : t) : int =
      cannot be re-entered through any cache after this point. *)
   if Obs.Vmstats.on () then
     (* count the links the generation bump is about to kill *)
-    Array.iter
-      (fun row ->
-         Array.iter
-           (function
-             | Some sl ->
-               for i = 0 to sl.sl_len - 1 do
-                 Array.iter
-                   (fun (lk : Translation.link) ->
-                      if lk.Translation.lk_target <> None
-                      && lk.Translation.lk_gen = eng.generation then
-                        Obs.Vmstats.bump c_link_invalidated)
-                   sl.sl_chain.(i).Translation.tr_links
-               done
-             | None -> ())
-           row)
-      eng.trans;
+    iter_links eng (fun lk ->
+        if lk.Translation.lk_target <> None
+        && lk.Translation.lk_gen = eng.generation then
+          Obs.Vmstats.bump c_link_invalidated);
   eng.generation <- eng.generation + 1;
-  eng.trans <- fresh_trans eng.hunit;
-  eng.nocompile <- fresh_nocompile eng.hunit;
+  eng.trans <- fresh_rows eng.hunit None;
+  eng.nocompile <- fresh_rows eng.hunit false;
   (* compile phase: one task per function, in C3 order, over a frozen
      TransCFG snapshot.  Tasks only read the snapshot and the unit and
      write task-local buffers, so any interleaving yields the same
@@ -1146,6 +1140,14 @@ let retranslate_all_locked (eng : t) : int =
   publish_epoch eng;
   !count
 
+(* Run an engine-level publish under the write lease, waiting for it;
+   the calling domain then adopts the result at once. *)
+let with_lease (eng : t) (f : unit -> 'a) : 'a =
+  Translate_queue.acquire ();
+  let r = Fun.protect ~finally:Translate_queue.release f in
+  adopt_here eng;
+  r
+
 (** Retranslate-all takes the write lease for its whole run: it rewrites
     the translation tables, id allocators and code cache that in-burst
     lazy translation mutates under the same lease, so a retranslate fired
@@ -1153,9 +1155,7 @@ let retranslate_all_locked (eng : t) : int =
     observe a consistent generation).  Outside a burst the lease is
     always free and this is one uncontended CAS. *)
 let retranslate_all (eng : t) : int =
-  Translate_queue.acquire ();
-  Fun.protect ~finally:Translate_queue.release
-    (fun () -> retranslate_all_locked eng)
+  with_lease eng (fun () -> retranslate_all_locked eng)
 
 (* ------------------------------------------------------------------ *)
 (* Code-cache lifecycle: liveness decay, eviction, Main compaction     *)
@@ -1165,12 +1165,14 @@ let retranslate_all (eng : t) : int =
     every translation's score and add the entries it received since the
     last tick.  A translation the traffic stopped entering decays toward
     zero geometrically while still-hot ones are replenished each tick, so
-    the score is a recency-weighted exec count, not a lifetime one. *)
+    the score is a recency-weighted exec count, not a lifetime one.  The
+    entries are the engine machine's: every serving worker's are folded
+    in at its burst's join. *)
 let decay_liveness (eng : t) : unit =
   Array.iter
     (fun (_, _, (tr : Translation.t)) ->
        if not tr.Translation.tr_evicted then begin
-         let execs = tr.Translation.tr_prog.Exec.pg_execs in
+         let execs = Exec.execs eng.machine tr.Translation.tr_prog in
          let fresh = execs - tr.Translation.tr_exec_mark in
          tr.Translation.tr_live_score <-
            (tr.Translation.tr_live_score asr 1) + fresh;
@@ -1180,8 +1182,9 @@ let decay_liveness (eng : t) : unit =
     eng.last_opt
 
 (** Evict optimized translations whose decayed liveness fell below
-    [threshold].  For each victim: the srckey chain is pruned (and its
-    mono cache dropped), every smashed bind jump pointing at it anywhere
+    [threshold].  For each victim: the srckey chain is pruned (the epoch
+    records the srckey, so adopting domains drop their mono caches
+    there), every smashed bind jump pointing at it anywhere
     in the surviving tables is unpatched through the link machinery, its
     Main/Cold extents become code-cache holes, and — when a function's
     optimized code is entirely gone — its stale profile is pruned so the
@@ -1227,13 +1230,14 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
                ("bytes", Obs.Trace.I tr.Translation.tr_bytes);
                ("score", Obs.Trace.I tr.Translation.tr_live_score) ])
       victims;
-    (* prune victims out of their srckey chains; drop mono caches that
-       would otherwise keep re-validating a dead entry *)
+    (* prune victims out of their srckey chains, noting each pruned
+       srckey: a mono cache there would keep re-validating a dead entry *)
+    let pruned = ref [] in
     Hashtbl.iter
       (fun fid () ->
          if fid < Array.length eng.trans then
-           Array.iter
-             (function
+           Array.iteri
+             (fun pc -> function
                | Some sl ->
                  let keep = ref [] in
                  for i = sl.sl_len - 1 downto 0 do
@@ -1244,12 +1248,7 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
                  if Array.length keep <> sl.sl_len then begin
                    sl.sl_chain <- keep;
                    sl.sl_len <- Array.length keep;
-                   sl.sl_mono <- None
-                 end else begin
-                   match sl.sl_mono with
-                   | Some (tr, _) when tr.Translation.tr_evicted ->
-                     sl.sl_mono <- None
-                   | _ -> ()
+                   pruned := (fid, pc) :: !pruned
                  end
                | None -> ())
              eng.trans.(fid))
@@ -1257,47 +1256,32 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
     (* unpatch incoming smashed bind jumps: scan every surviving chain's
        link slots and revert those whose target died.  Links smashed in
        the current generation count as invalidations (the same counter a
-       retranslate-all generation bump feeds); a frozen reader racing the
-       store either sees the old target — still a correct, reachable
+       retranslate-all generation bump feeds); a reader racing the store
+       either sees the old target — still a correct, reachable
        translation — or the unlinked state. *)
-    Array.iter
-      (fun row ->
-         Array.iter
-           (function
-             | Some sl ->
-               for i = 0 to sl.sl_len - 1 do
-                 Array.iter
-                   (fun (lk : Translation.link) ->
-                      match lk.Translation.lk_target with
-                      | Some (dst, _) when dst.Translation.tr_evicted ->
-                        if lk.Translation.lk_gen = eng.generation
-                        && Obs.Vmstats.on () then
-                          Obs.Vmstats.bump c_link_invalidated;
-                        lk.Translation.lk_target <- None
-                      | _ -> ())
-                   sl.sl_chain.(i).Translation.tr_links
-               done
-             | None -> ())
-           row)
-      eng.trans;
+    iter_links eng (fun lk ->
+        match lk.Translation.lk_target with
+        | Some (dst, _) when dst.Translation.tr_evicted ->
+          if lk.Translation.lk_gen = eng.generation && Obs.Vmstats.on () then
+            Obs.Vmstats.bump c_link_invalidated;
+          lk.Translation.lk_target <- None
+        | _ -> ());
     (* a function with no optimized translation left: drop its profile *)
+    let optimized = function
+      | Some sl ->
+        Array.exists
+          (fun (tr : Translation.t) ->
+             tr.Translation.tr_kind = Translation.KOptimized)
+          (Array.sub sl.sl_chain 0 sl.sl_len)
+      | None -> false
+    in
     Hashtbl.iter
       (fun fid () ->
-         let any_opt = ref false in
-         if fid < Array.length eng.trans then
-           Array.iter
-             (function
-               | Some sl ->
-                 for i = 0 to sl.sl_len - 1 do
-                   if sl.sl_chain.(i).Translation.tr_kind
-                      = Translation.KOptimized
-                   then any_opt := true
-                 done
-               | None -> ())
-             eng.trans.(fid);
-         if not !any_opt then Region.Transcfg.prune_func fid)
+         if not (fid < Array.length eng.trans
+                 && Array.exists optimized eng.trans.(fid))
+         then Region.Transcfg.prune_func fid)
       affected;
-    publish_epoch eng
+    publish_epoch eng ~pruned:!pruned
       ~fids:(Hashtbl.fold (fun fid () acc -> fid :: acc) affected []);
     List.length victims
   end
@@ -1309,7 +1293,7 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
     caches and published epochs all hold the translation objects, the
     move is visible everywhere without a fixup pass.  The tightened hot
     extent is remapped onto huge pages and the full state republished
-    (same generation — adopting workers keep their mono caches), so the
+    (same generation — adopting domains keep their mono caches), so the
     i-cache/I-TLB footprint shrinks back to the live code.  Returns the
     hole bytes closed (0 when there were none).  Caller must hold the
     write lease. *)
@@ -1343,17 +1327,13 @@ let compact_tc_locked (eng : t) : int =
 
 (** Public lifecycle entry points: like [retranslate_all], each takes the
     write lease for its whole run — lifecycle mutation serializes against
-    in-burst lazy translation drains, and a lease-holding drainer never
-    observes a half-pruned table. *)
+    lazy translation drains, and a lease-holding drainer never observes a
+    half-pruned table. *)
 let evict_cold (eng : t) ~(threshold : int) : int =
-  Translate_queue.acquire ();
-  Fun.protect ~finally:Translate_queue.release
-    (fun () -> evict_cold_locked eng ~threshold)
+  with_lease eng (fun () -> evict_cold_locked eng ~threshold)
 
 let compact_tc (eng : t) : int =
-  Translate_queue.acquire ();
-  Fun.protect ~finally:Translate_queue.release
-    (fun () -> compact_tc_locked eng)
+  with_lease eng (fun () -> compact_tc_locked eng)
 
 (** One lifecycle tick, the policy form the server/bench drives: decay +
     evict below [opts.tc_evict_threshold], then compact if [opts.tc_compact]
@@ -1363,18 +1343,15 @@ let compact_tc (eng : t) : int =
 let tc_lifecycle_tick (eng : t) : int * int =
   if eng.opts.tc_evict_threshold <= 0 || not eng.optimized_published
   then (0, 0)
-  else begin
-    Translate_queue.acquire ();
-    Fun.protect ~finally:Translate_queue.release
-      (fun () ->
-         let evicted =
-           evict_cold_locked eng ~threshold:eng.opts.tc_evict_threshold
-         in
-         let reclaimed =
-           if eng.opts.tc_compact then compact_tc_locked eng else 0
-         in
-         (evicted, reclaimed))
-  end
+  else
+    with_lease eng (fun () ->
+        let evicted =
+          evict_cold_locked eng ~threshold:eng.opts.tc_evict_threshold
+        in
+        let reclaimed =
+          if eng.opts.tc_compact then compact_tc_locked eng else 0
+        in
+        (evicted, reclaimed))
 
 (* ------------------------------------------------------------------ *)
 (* Jumpstart: capture and adopt optimized TC images (§6.2)             *)
@@ -1416,12 +1393,9 @@ let capture_image (eng : t) : Jumpstart.image option =
                 | Some (dst, en) ->
                   (match Hashtbl.find_opt idx dst.Translation.tr_id with
                    | Some di ->
-                     let entries = dst.Translation.tr_entries in
-                     let ei = ref (-1) in
-                     Array.iteri
-                       (fun j e -> if !ei < 0 && e == en then ei := j)
-                       entries;
-                     if !ei >= 0 then links := (si, eid, di, !ei) :: !links
+                     Option.iter
+                       (fun ei -> links := (si, eid, di, ei) :: !links)
+                       (Array.find_index (( == ) en) dst.Translation.tr_entries)
                    | None -> ())
                 | None -> ())
            src.Translation.tr_links)
@@ -1449,8 +1423,8 @@ let adopt_image (eng : t) (im : Jumpstart.image) : unit =
     max !Region.Select.next_block_id im.Jumpstart.im_next_block_id;
   eng.phase <- POptimized;
   eng.generation <- eng.generation + 1;
-  eng.trans <- fresh_trans eng.hunit;
-  eng.nocompile <- fresh_nocompile eng.hunit;
+  eng.trans <- fresh_rows eng.hunit None;
+  eng.nocompile <- fresh_rows eng.hunit false;
   let placed = ref [] in
   Array.iter
     (fun ((p : Translation.prepared), nb) ->
@@ -1487,7 +1461,8 @@ let adopt_image (eng : t) (im : Jumpstart.image) : unit =
         ("generation", Obs.Trace.I eng.generation);
         ("optimized", Obs.Trace.I (Array.length placed));
         ("links", Obs.Trace.I (Array.length im.Jumpstart.im_links)) ];
-  publish_epoch eng
+  publish_epoch eng;
+  adopt_here eng
 
 (* ------------------------------------------------------------------ *)
 (* Call dispatch and installation                                      *)
@@ -1534,8 +1509,8 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
     hunit = u;
     machine = Exec.create_machine ();
     cache = Simcpu.Codecache.create ?budget:opts.code_budget ();
-    trans = fresh_trans u;
-    nocompile = fresh_nocompile u;
+    trans = fresh_rows u None;
+    nocompile = fresh_rows u false;
     generation = 0;
     phase = PProfiling;
     optimized_published = false;
@@ -1544,8 +1519,8 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
     sort_cache = None;
     last_opt = [||];
     published = Atomic.make empty_epoch;
+    main_ctx = None;
   } in
-  current := Some eng;
   (* translation ids, inline-cache ids and TransCFG block ids restart per
      engine: sequential runs (bench determinism sweeps) produce identical
      tc-print reports and trace streams *)
@@ -1578,67 +1553,40 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
   eng
 
 (* ------------------------------------------------------------------ *)
-(* Parallel request serving (per-domain dispatch contexts)             *)
+(* Request serving: context lifetime and request boundaries            *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_mono (ep : epoch)
-  : (Translation.t * Translation.entry) option array array =
-  Array.map (fun row -> Array.make (Array.length row) None) ep.ep_trans
-
-let apply_epoch_itlb (ctx : serve_ctx) : unit =
-  Simcpu.Itlb.set_huge ctx.sx_machine.Exec.itlb ~enabled:ctx.sx_epoch.ep_huge
-    ~lo:ctx.sx_epoch.ep_main_lo ~hi:ctx.sx_epoch.ep_main_hi
-
-(** Turn this domain into a serving worker: pin the latest published epoch
-    and install a frozen dispatch context (private machine, private mono
-    table).  The scheduler calls this once per worker domain. *)
+(** Give this domain a fresh dispatch context — a new machine pinned to
+    the latest published epoch — until {!exit_serving}.  Serving workers
+    call it once each; the deterministic measured burst calls it on the
+    main domain. *)
 let enter_serving (eng : t) : unit =
-  let ep = Atomic.get eng.published in
-  let ctx =
-    { sx_machine = Exec.create_machine (); sx_epoch = ep;
-      sx_mono = fresh_mono ep }
-  in
-  apply_epoch_itlb ctx;
-  Domain.DLS.set serve_key (Some ctx)
+  Domain.DLS.set ctx_key
+    (Some (new_ctx (Exec.create_machine ()) (Atomic.get eng.published)))
 
-(** Request boundary: adopt the latest published epoch if it changed.  The
-    mono table is rebuilt (its entries point at the old epoch's chains)
-    and the I-TLB huge-page mapping tracks the new hot-section extent. *)
-let begin_request (eng : t) : unit =
-  match Domain.DLS.get serve_key with
-  | None -> ()
-  | Some ctx ->
-    let ep = Atomic.get eng.published in
-    if ep.ep_seq <> ctx.sx_epoch.ep_seq then begin
-      if Obs.Span.on () then Obs.Span.count Obs.Span.Adopt;
-      (* adopting an epoch delta (same generation) keeps the mono table:
-         its cached entries are still current-generation translations
-         whose guards are re-validated on every hit, and lookups bound
-         themselves by the table's own dimensions.  Only a generation
-         change (retranslate-all) invalidates the cached entries. *)
-      let keep_mono = ep.ep_gen = ctx.sx_epoch.ep_gen in
-      ctx.sx_epoch <- ep;
-      if not keep_mono then ctx.sx_mono <- fresh_mono ep;
-      apply_epoch_itlb ctx
-    end
+(** Request boundary: adopt the latest published epoch if it changed. *)
+let begin_request (eng : t) : unit = adopt (ctx eng) (Atomic.get eng.published)
 
-(** Leave serving mode; returns the worker's machine so the scheduler can
-    fold its counters into the engine's with [merge_machine]. *)
+(** Drop this domain's context from {!enter_serving}; returns its
+    machine so the scheduler can fold its counters into the engine's with
+    [merge_machine]. *)
 let exit_serving () : Exec.machine option =
-  match Domain.DLS.get serve_key with
+  match Domain.DLS.get ctx_key with
   | None -> None
-  | Some ctx ->
-    Domain.DLS.set serve_key None;
-    Some ctx.sx_machine
+  | Some c ->
+    Domain.DLS.set ctx_key None;
+    Some c.dx_machine
 
-(** Fold a joined serving worker's machine counters into the engine's main
-    machine, so process-wide exec/i-cache/I-TLB totals stay exact. *)
+(** Fold a joined serving context's machine counters into the engine's
+    main machine, so process-wide exec/i-cache/I-TLB totals and every
+    translation's entry and cycle counts stay exact. *)
 let merge_machine (eng : t) (w : Exec.machine) : unit =
   let m = eng.machine in
   m.Exec.instrs_executed <- m.Exec.instrs_executed + w.Exec.instrs_executed;
   m.Exec.cycles_live <- m.Exec.cycles_live + w.Exec.cycles_live;
   m.Exec.cycles_prof <- m.Exec.cycles_prof + w.Exec.cycles_prof;
   m.Exec.cycles_opt <- m.Exec.cycles_opt + w.Exec.cycles_opt;
+  Exec.fold_counts m w;
   let mi = m.Exec.icache and wi = w.Exec.icache in
   mi.Simcpu.Icache.accesses <- mi.Simcpu.Icache.accesses + wi.Simcpu.Icache.accesses;
   mi.Simcpu.Icache.misses <- mi.Simcpu.Icache.misses + wi.Simcpu.Icache.misses;
@@ -1647,11 +1595,6 @@ let merge_machine (eng : t) (w : Exec.machine) : unit =
   mt.Simcpu.Itlb.misses <- mt.Simcpu.Itlb.misses + wt.Simcpu.Itlb.misses
 
 let code_bytes (eng : t) : int = Simcpu.Codecache.bytes_used eng.cache
-
-(** Retranslation-chain length at a srckey (test observability: the lease
-    contention test asserts racing misses produced exactly one entry). *)
-let chain_length (eng : t) ~(fid : int) ~(pc : int) : int =
-  match slot_at eng.trans fid pc with Some sl -> sl.sl_len | None -> 0
 
 (** Sample the engine's level-style metrics into vmstats gauges.  These are
     cheap to read on demand but would be expensive to maintain per event,

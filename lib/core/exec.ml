@@ -43,6 +43,12 @@ type machine = {
   mutable cycles_live : int;
   mutable cycles_prof : int;
   mutable cycles_opt : int;
+  (* per-translation telemetry, dense by prog id: entries and simulated
+     cycles spent inside.  Each domain counts on its own machine and the
+     scheduler folds workers into the engine's ([Engine.merge_machine]);
+     tc-print ranks by these and eviction reads the entries. *)
+  mutable execs : int array;
+  mutable tcycles : int array;
   (* run states of the runs in progress, outermost first: a helper's PHP
      call can re-enter the engine, and each nested run takes the next
      one.  [depth] is the number in use. *)
@@ -82,10 +88,6 @@ type prog = {
   pg_slot0 : int;                    (* register-file index of slot 0 *)
   pg_file : int;                     (* register-file size *)
   pg_counts : bool;                  (* has a [VCounter] *)
-  (* execution telemetry: entry count and simulated cycles spent inside
-     this translation.  tc-print ranks by these; eviction reads execs. *)
-  mutable pg_execs : int;
-  mutable pg_cycles : int;
 }
 
 let rec create_machine () : machine =
@@ -97,6 +99,7 @@ let rec create_machine () : machine =
     meth_caches = Array.make 64 (-1, -1);
     instrs_executed = 0;
     cycles_live = 0; cycles_prof = 0; cycles_opt = 0;
+    execs = [||]; tcycles = [||];
     states = [||]; depth = 0;
   } in
   m.states <- [| fresh_state m |];
@@ -568,13 +571,40 @@ let flatten ~(id : int) ~(fid : int) ~(srckey : int) ~(kind_name : string)
     pg_file = slot0 + max nslots 1;
     pg_counts =
       Array.exists (function VCounter _ -> true | _ -> false) code;
-    pg_execs = 0;
-    pg_cycles = 0;
   }
 
 (* ------------------------------------------------------------------ *)
 (* The execution loop                                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* the count at prog id [id] in [a]: 0 past its end *)
+let count_of (a : int array) (id : int) : int =
+  if id < Array.length a then a.(id) else 0
+
+(* Make room for prog id [id] in both per-translation arrays. *)
+let grow_counts (m : machine) (id : int) : unit =
+  let n = max 64 (2 * (id + 1)) in
+  let grow a =
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  m.execs <- grow m.execs;
+  m.tcycles <- grow m.tcycles
+
+(** Entries into [p] and simulated cycles spent inside it, as counted on
+    machine [m]. *)
+let execs (m : machine) (p : prog) : int = count_of m.execs p.pg_id
+let cycles_in (m : machine) (p : prog) : int = count_of m.tcycles p.pg_id
+
+(** Add [w]'s per-translation counts into [m]'s. *)
+let fold_counts (m : machine) (w : machine) : unit =
+  let n = Array.length w.execs in
+  if n > Array.length m.execs then grow_counts m (n - 1);
+  for id = 0 to n - 1 do
+    m.execs.(id) <- m.execs.(id) + w.execs.(id);
+    m.tcycles.(id) <- m.tcycles.(id) + w.tcycles.(id)
+  done
 
 (* A run's end, normal or not: retired instructions, the unflushed
    cycles, and the per-translation and per-kind totals. *)
@@ -582,7 +612,7 @@ let settle (m : machine) (p : prog) (st : state) (retired : int) : unit =
   m.instrs_executed <- m.instrs_executed + retired;
   flush st;
   let c = st.spent in
-  p.pg_cycles <- p.pg_cycles + c;
+  m.tcycles.(p.pg_id) <- m.tcycles.(p.pg_id) + c;
   p.pg_attribute m c
 
 (* A line cut by an unaligned huge-page bound has its halves on two
@@ -607,7 +637,8 @@ let run (m : machine) (p : prog) ~(entry : int) ~(frame : Vm.Interp.frame)
   st.pend <- 0;
   st.spent <- 0;
   m.depth <- d + 1;
-  p.pg_execs <- p.pg_execs + 1;
+  if p.pg_id >= Array.length m.execs then grow_counts m p.pg_id;
+  m.execs.(p.pg_id) <- m.execs.(p.pg_id) + 1;
   let prof = Obs.Profiler.on () in
   let ops = p.pg_ops and cost = p.pg_cost and addr = p.pg_addr in
   let n = Array.length addr in

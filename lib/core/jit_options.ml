@@ -83,13 +83,11 @@ type t = {
      precedence rules as [jit_workers]).  Per-request outputs and the
      aggregate output hash are identical for any value. *)
   mutable request_workers : int;
-  (* lazy in-burst translation (§4): serving workers that miss in their
-     frozen epoch enqueue a translation request; a write-lease holder
-     compiles it and publishes an incremental epoch delta, so the
-     translation cache keeps growing during a multi-domain burst instead
-     of falling back to the interpreter until the next retranslate-all.
-     Outputs stay bit-identical for any worker count ([LAZY_TRANSLATE=0]
-     turns it off, restoring the PR 4 frozen-miss-interprets behavior). *)
+  (* lazy translation (§4): a domain that misses in its epoch enqueues a
+     translation request; the write-lease holder compiles it and
+     publishes an incremental epoch delta, at any worker count.  Outputs
+     stay bit-identical for any worker count ([LAZY_TRANSLATE=0] turns it
+     off: every miss interprets). *)
   mutable lazy_translate : bool;
   (* code-cache lifecycle ([--tc-evict-threshold N] / [TC_EVICT_THRESHOLD],
      [--tc-compact] / [TC_COMPACT=1]): a lifecycle tick decays every

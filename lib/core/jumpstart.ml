@@ -36,8 +36,8 @@
     caller logs it and cold-starts. *)
 
 type image = {
-  im_prof : Vm.Prof.export;            (** canonical profile counters *)
-  im_tcfg : Region.Transcfg.export;    (** profiling-block registry + arcs *)
+  im_prof : Vm.Prof.export;            (** canonical profile, arcs included *)
+  im_tcfg : Region.Transcfg.export;    (** profiling-block registry *)
   im_next_block_id : int;              (** region-block id allocator mark *)
   im_trans : (Translation.prepared * int) array;
   (** the optimized publish sequence: every placed prepared translation
@@ -49,7 +49,8 @@ type image = {
 }
 
 let magic = "HHVMJUMP"
-let format_version = 1
+(* 2: TransCFG arc weights moved from the registry into the profile *)
+let format_version = 2
 
 (** The codegen-relevant option fingerprint folded into the unit digest:
     two processes produce the same optimized image iff these agree.

@@ -42,16 +42,17 @@ type sort_mode = By_execs | By_cycles | By_cold
 let sort_mode_name = function
   | By_execs -> "execs" | By_cycles -> "cycles" | By_cold -> "cold"
 
-let compare_by (m : sort_mode) (a : Translation.t) (b : Translation.t) : int =
-  let pa = a.Translation.tr_prog and pb = b.Translation.tr_prog in
+(* ranks by the counts folded into [mc], the engine's machine *)
+let compare_by (mc : Exec.machine) (m : sort_mode) (a : Translation.t)
+    (b : Translation.t) : int =
+  let execs (t : Translation.t) = Exec.execs mc t.Translation.tr_prog
+  and cycles (t : Translation.t) = Exec.cycles_in mc t.Translation.tr_prog in
   let primary, secondary =
     match m with
     | By_execs ->
-      (compare pb.Exec.pg_execs pa.Exec.pg_execs,
-       compare pb.Exec.pg_cycles pa.Exec.pg_cycles)
+      (compare (execs b) (execs a), compare (cycles b) (cycles a))
     | By_cycles ->
-      (compare pb.Exec.pg_cycles pa.Exec.pg_cycles,
-       compare pb.Exec.pg_execs pa.Exec.pg_execs)
+      (compare (cycles b) (cycles a), compare (execs b) (execs a))
     | By_cold ->
       (compare a.Translation.tr_live_score b.Translation.tr_live_score,
        compare b.Translation.tr_age a.Translation.tr_age)
@@ -73,7 +74,8 @@ let guard_to_string (func : Hhbc.Instr.func) (g : Rd.guard) : string =
     (default: by execution count). *)
 let report ?(top = 20) ?(sort = By_execs) (eng : Engine.t) : string =
   let u = eng.Engine.hunit in
-  let trs = List.sort (compare_by sort) (collect eng) in
+  let mc = eng.Engine.machine in
+  let trs = List.sort (compare_by mc sort) (collect eng) in
   let total = List.length trs in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -91,8 +93,9 @@ let report ?(top = 20) ?(sort = By_execs) (eng : Engine.t) : string =
               (rank + 1) tr.Translation.tr_id
               (Translation.kind_name tr.Translation.tr_kind)
               f.Hhbc.Instr.fn_name tr.Translation.tr_srckey
-              tr.Translation.tr_bytes tr.Translation.tr_prog.Exec.pg_execs
-              tr.Translation.tr_prog.Exec.pg_cycles tr.Translation.tr_live_score
+              tr.Translation.tr_bytes (Exec.execs mc tr.Translation.tr_prog)
+              (Exec.cycles_in mc tr.Translation.tr_prog)
+              tr.Translation.tr_live_score
               tr.Translation.tr_age);
          Buffer.add_string buf
            (Printf.sprintf "      region: [%s]\n"

@@ -4,36 +4,35 @@
     HHVM request threads that miss in the translation cache acquire a
     global {e write lease} before translating: one thread compiles while
     the others keep executing, so the shared code cache has one writer
-    and many readers.  This module is the concurrent-OCaml analogue for
-    parallel request serving: a serve worker that misses in its frozen
-    epoch enqueues a translation request (srckey + the live types the
-    region selector would have observed) into a bounded atomic queue;
-    whoever holds the lease — the dedicated drainer domain or the first
-    worker to win the compare-and-swap — drains it in queue-sequence
-    order and compiles against the engine state the lease protects.
+    and many readers.  This module is the concurrent-OCaml analogue: a
+    domain that misses in its epoch enqueues a translation request
+    (srckey + the live types the region selector would have observed)
+    into a bounded atomic queue; whoever holds the lease — the requester
+    itself when it wins the compare-and-swap, another serving domain, or
+    a burst's dedicated drainer — drains it in queue order and compiles
+    against the engine state the lease protects.  With one serving domain
+    the lease is always free and every miss drains its own request at
+    once.
 
-    Determinism: slot indices are claimed with one [fetch_and_add], so
-    every request has a unique queue sequence number; the lease holder
-    drains in that order, and the lease itself serializes every publish.
-    Translation ids, code-cache offsets and link smashes are therefore
-    assigned in a canonical order per queue history, independent of which
-    domain held the lease when.  (Per-request outputs never depend on
-    dispatch order at all — endpoints are pure — so the serving output
-    hash is identical whether a request enters compiled code or
-    interprets.)
+    Determinism: slot indices are claimed with one [fetch_and_add]; the
+    lease holder drains in index order, and the lease itself serializes
+    every publish.  Translation ids, code-cache offsets and link smashes
+    are therefore assigned in a canonical order per queue history,
+    independent of which domain held the lease when.  (Per-request
+    outputs never depend on dispatch order at all — endpoints are pure —
+    so the serving output hash is identical whether a request enters
+    compiled code or interprets.)
 
-    The queue is bounded: a burst can request at most [capacity] distinct
-    compilations, which also bounds how much code lazy translation can
-    add against the code-size cap.  Claims past the bound are counted as
-    overflow and the requester simply interprets. *)
+    The queue is a ring bounded by [capacity] requests in flight: the
+    lease holder that drains it empty rewinds it.  Claims past the bound
+    are counted as overflow and the requester simply interprets. *)
 
 type request = {
-  rq_seq : int;                 (** queue sequence number: canonical order *)
   rq_fid : int;
   rq_pc : int;
   (** Most-precise types of the requester's locals and evaluation stack
-      (stack indexed by depth: element [d] types [sp - 1 - d]), standing
-      in for the live frame the main domain's region oracle reads. *)
+      (stack indexed by depth: element [d] types [sp - 1 - d]): the
+      region selector's oracle, in place of the requester's live frame. *)
   rq_locals : Hhbc.Rtype.t array;
   rq_stack : Hhbc.Rtype.t array;
   (** The (translation, exit id) the requester chained out of, if any:
@@ -51,7 +50,8 @@ let default_capacity = 256
 
 (* Slot-per-request ring: [tail] claims an index, the claimant publishes
    the request into its slot, and the lease holder consumes slots
-   [drained, min tail capacity).  Slots are written once per burst. *)
+   [drained, min tail capacity).  A slot is written once between two
+   rewinds. *)
 let slots : request option Atomic.t array ref =
   ref (Array.init default_capacity (fun _ -> Atomic.make None))
 
@@ -60,16 +60,17 @@ let drained = Atomic.make 0
 
 let capacity () = Array.length !slots
 
-(** Reset the queue for a new burst.  Quiescent points only (engine
-    install / burst start, before any worker domain runs).  The ring
-    size is preserved unless [capacity] is given: engine install passes
-    [default_capacity]; tests shrink the ring to force overflow, and the
-    burst-start reset keeps their choice. *)
+(** Reset the queue for a new burst, dropping anything a previous burst
+    left undrained.  Quiescent points only (engine install / burst start,
+    before any worker domain runs).  The ring size is preserved unless
+    [capacity] is given: engine install passes [default_capacity]; tests
+    shrink the ring to force overflow, and the burst-start reset keeps
+    their choice. *)
 let reset ?capacity () =
-  let cap =
-    match capacity with Some c -> c | None -> Array.length !slots
-  in
-  slots := Array.init cap (fun _ -> Atomic.make None);
+  (match capacity with
+   | Some c when c <> Array.length !slots ->
+     slots := Array.init c (fun _ -> Atomic.make None)
+   | _ -> Array.iter (fun s -> Atomic.set s None) !slots);
   Atomic.set tail 0;
   Atomic.set drained 0
 
@@ -108,19 +109,16 @@ let lease_held () : bool = Atomic.get lease
 (* --- enqueue / drain --- *)
 
 let same_types (a : Hhbc.Rtype.t array) (b : Hhbc.Rtype.t array) : bool =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri (fun i t -> if not (Hhbc.Rtype.equal t b.(i)) then ok := false) a;
-      !ok)
+  Array.length a = Array.length b && Array.for_all2 Hhbc.Rtype.equal a b
 
-(* Already queued this burst?  Advisory — two racing enqueuers can both
-   miss a duplicate in flight; the lease holder re-checks the translation
-   chain before compiling, which is the authoritative dedup. *)
+(* Already queued and not yet drained?  Advisory — two racing enqueuers
+   can both miss a duplicate in flight; the lease holder re-checks the
+   translation chain before compiling, which is the authoritative dedup. *)
 let queued ~(fid : int) ~(pc : int) ~(locals : Hhbc.Rtype.t array)
     ~(stack : Hhbc.Rtype.t array) : bool =
   let n = min (Atomic.get tail) (capacity ()) in
   let found = ref false in
-  let i = ref 0 in
+  let i = ref (Atomic.get drained) in
   while (not !found) && !i < n do
     (match Atomic.get !slots.(!i) with
      | Some rq ->
@@ -134,8 +132,8 @@ let queued ~(fid : int) ~(pc : int) ~(locals : Hhbc.Rtype.t array)
   !found
 
 (** Enqueue a translation request.  Returns [false] on overflow (the ring
-    is full for this burst: interpret and move on); duplicate in-flight
-    requests for the same srckey and types are dropped. *)
+    is full: interpret and move on); duplicate in-flight requests for the
+    same srckey and types are dropped. *)
 let enqueue ~(fid : int) ~(pc : int) ~(locals : Hhbc.Rtype.t array)
     ~(stack : Hhbc.Rtype.t array)
     ~(via : (Translation.t * int) option) : bool =
@@ -149,16 +147,20 @@ let enqueue ~(fid : int) ~(pc : int) ~(locals : Hhbc.Rtype.t array)
       false
     end else begin
       Atomic.set !slots.(i)
-        (Some { rq_seq = i; rq_fid = fid; rq_pc = pc;
+        (Some { rq_fid = fid; rq_pc = pc;
                 rq_locals = locals; rq_stack = stack; rq_via = via });
       Obs.Vmstats.bump c_enqueued;
       true
     end
   end
 
-(** Consume every published request in queue-sequence order.  Lease
-    holder only.  Returns the number of requests consumed; requests
-    claimed after the drain snapshot are left for the next holder. *)
+(** Consume every published request in queue order.  Lease holder only.
+    Returns the number of requests consumed; requests claimed after the
+    drain snapshot are left for the next holder.  A drain that empties
+    the ring rewinds it: the slots are cleared first, then [tail] moves
+    back to 0 only if nobody claimed a slot meanwhile (a late claimant
+    keeps its index, and the cleared slots lie below [drained]).  Claims
+    past a full ring hold no slot, so they never block the rewind. *)
 let drain (f : request -> unit) : int =
   let consumed = ref 0 in
   let t = min (Atomic.get tail) (capacity ()) in
@@ -175,4 +177,9 @@ let drain (f : request -> unit) : int =
          is mid-store, wait it out *)
       Domain.cpu_relax ()
   done;
+  let tl = Atomic.get tail in
+  if t > 0 && (tl = t || t = capacity ()) then begin
+    for i = 0 to t - 1 do Atomic.set !slots.(i) None done;
+    if Atomic.compare_and_set tail tl 0 then Atomic.set drained 0
+  end;
   !consumed

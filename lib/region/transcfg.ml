@@ -5,7 +5,9 @@
     one per observed input-type combination — retranslation siblings).
     Block weights come from the profile counters inserted after each
     block's guards; arc weights are recorded as profiling translations
-    transfer control to one another. *)
+    transfer control to one another, into the domain's {!Vm.Prof} write
+    context like every other profile count, and read from the canonical
+    profile. *)
 
 (* registry of profiling blocks, per function *)
 let blocks_by_func : (int, Rdesc.block list ref) Hashtbl.t = Hashtbl.create 64
@@ -13,19 +15,6 @@ let blocks_by_func : (int, Rdesc.block list ref) Hashtbl.t = Hashtbl.create 64
 (* all registered blocks by id *)
 let blocks_by_id : (int, Rdesc.block) Hashtbl.t = Hashtbl.create 256
 
-(* observed control transfers between profiling blocks.  Arcs are recorded
-   on every profiling-translation entry, so the key is a single packed int
-   (src in the high bits) — hashing an immediate int, not a tuple — and the
-   last arc is memoized: a loop hammering the same transfer bumps its
-   counter without touching the hashtable at all. *)
-let arc_key ~(src : int) ~(dst : int) : int = (src lsl 31) lor dst
-let arc_unkey (k : int) : int * int = (k lsr 31, k land 0x7FFF_FFFF)
-
-let arcs : (int, int ref) Hashtbl.t = Hashtbl.create 256
-
-let last_arc : (int * int ref) option ref = ref None
-
-let c_arc_events = Obs.Vmstats.counter "region.arc_events"
 let c_blocks_registered = Obs.Vmstats.counter "region.blocks_registered"
 
 (* structural version: bumped when the set of registered blocks changes
@@ -37,8 +26,6 @@ let version () = !version_
 let reset () =
   Hashtbl.reset blocks_by_func;
   Hashtbl.reset blocks_by_id;
-  Hashtbl.reset arcs;
-  last_arc := None;
   incr version_
 
 let register_block (b : Rdesc.block) =
@@ -54,23 +41,6 @@ let register_block (b : Rdesc.block) =
       l
   in
   lst := b :: !lst
-
-let record_arc ~(src : int) ~(dst : int) =
-  Obs.Vmstats.bump c_arc_events;
-  let key = arc_key ~src ~dst in
-  match !last_arc with
-  | Some (k, r) when k = key -> incr r
-  | _ ->
-    let r =
-      match Hashtbl.find_opt arcs key with
-      | Some r -> r
-      | None ->
-        let r = ref 0 in
-        Hashtbl.replace arcs key r;
-        r
-    in
-    incr r;
-    last_arc := Some (key, r)
 
 (** Drop one function's profiling blocks (and every arc touching them)
     from the registry.  Called when the TC lifecycle evicts all of a cold
@@ -89,19 +59,7 @@ let prune_func (fid : int) : unit =
          Hashtbl.remove blocks_by_id b.b_id)
       !lst;
     Hashtbl.remove blocks_by_func fid;
-    let dead =
-      Hashtbl.fold
-        (fun k _ acc ->
-           let s, d = arc_unkey k in
-           if Hashtbl.mem ids s || Hashtbl.mem ids d then k :: acc else acc)
-        arcs []
-    in
-    List.iter (Hashtbl.remove arcs) dead;
-    (match !last_arc with
-     | Some (k, _) ->
-       let s, d = arc_unkey k in
-       if Hashtbl.mem ids s || Hashtbl.mem ids d then last_arc := None
-     | None -> ());
+    Vm.Prof.prune_arcs (Hashtbl.mem ids);
     incr version_
 
 (* --- serialization (jumpstart, paper §6.2) --- *)
@@ -109,12 +67,11 @@ let prune_func (fid : int) : unit =
 (** A self-contained copy of the registry: blocks in registration order
     (block ids are allocated at selection time and registration follows
     immediately, so ascending id order {e is} registration order — the
-    order [build] reconstructs for region formation), plus the arc table
-    as (packed key, weight) pairs.  [Rdesc.block] is plain data, so the
-    export is Marshal-safe. *)
+    order [build] reconstructs for region formation).  The arc weights
+    travel with the profile's export.  [Rdesc.block] is plain data, so
+    the export is Marshal-safe. *)
 type export = {
   ex_blocks : Rdesc.block array;       (* ascending b_id *)
-  ex_arcs : (int * int) array;         (* packed arc key, weight *)
 }
 
 let export () : export =
@@ -123,12 +80,7 @@ let export () : export =
     |> List.sort (fun (a : Rdesc.block) b -> compare a.b_id b.b_id)
     |> Array.of_list
   in
-  let ex_arcs =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) arcs []
-    |> List.sort compare
-    |> Array.of_list
-  in
-  { ex_blocks = blocks; ex_arcs }
+  { ex_blocks = blocks }
 
 (** Rebuild the registry from a deserialized export (fresh-process
     jumpstart, after the installing [reset]).  Registration order is
@@ -149,7 +101,6 @@ let import (e : export) : unit =
        in
        lst := b :: !lst)
     e.ex_blocks;
-  Array.iter (fun (k, w) -> Hashtbl.replace arcs k (ref w)) e.ex_arcs;
   incr version_
 
 let block (id : int) : Rdesc.block = Hashtbl.find blocks_by_id id
@@ -173,12 +124,11 @@ let build (func_id : int) : t =
   let ids = List.fold_left (fun s b -> Hashtbl.replace s b.Rdesc.b_id (); s)
       (Hashtbl.create 16) nodes in
   let t_arcs =
-    Hashtbl.fold
-      (fun k w acc ->
-         let s, d = arc_unkey k in
-         if Hashtbl.mem ids s && Hashtbl.mem ids d then ((s, d), !w) :: acc
+    Vm.Prof.fold_arcs
+      (fun s d w acc ->
+         if Hashtbl.mem ids s && Hashtbl.mem ids d then ((s, d), w) :: acc
          else acc)
-      arcs []
+      []
   in
   { nodes; t_arcs }
 

@@ -11,7 +11,7 @@
     {!destructor_hook}, which the VM installs at startup.
 
     Accounting is {b per domain}: the heap's stats, audit table and
-    allocation-id counter are fields of the domain's {!Ledger.acct}, so
+    allocation-id counters are fields of the domain's {!Ledger.acct}, so
     parallel request serving neither races the audit table nor loses
     stat updates.  Values themselves may flow between domains (the shared
     unit's static strings, for instance); only the bookkeeping is
@@ -36,6 +36,7 @@ type stats = Ledger.acct = {
   mutable decref_ops : int;
   a_audit : Ledger.Audit.t;
   mutable a_next_id : int;
+  mutable a_next_obj : int;
 }
 
 (** This domain's account, read for its heap fields (a live record:
@@ -57,22 +58,25 @@ let reset () =
   a.allocated <- 0; a.freed <- 0; a.live <- 0;
   a.incref_ops <- 0; a.decref_ops <- 0;
   Ledger.Audit.reset a.a_audit;
-  a.a_next_id <- 0
+  a.a_next_id <- 0;
+  a.a_next_obj <- 0
 
 (* [kind] is a {!Ledger.Audit} kind code *)
-let alloc_on (a : stats) (kind : int) (data : 'a) : 'a counted =
-  a.a_next_id <- a.a_next_id + 1;
-  let id = a.a_next_id in
+let counted_on (a : stats) (kind : int) (id : int) (data : 'a) : 'a counted =
   a.allocated <- a.allocated + 1;
   a.live <- a.live + 1;
   if !audit_enabled then Ledger.Audit.add a.a_audit id kind;
   { rc = 1; id; data }
 
+let alloc_on (a : stats) (kind : int) (data : 'a) : 'a counted =
+  a.a_next_id <- a.a_next_id + 1;
+  counted_on a kind a.a_next_id data
+
 let alloc_arr (data : arr) : arr counted =
   alloc_on (stats ()) Ledger.Audit.kind_arr data
 
 let free_on (a : stats) (node : 'a counted) (kind : int) =
-  if !audit_enabled && not (Ledger.Audit.remove a.a_audit node.id) then
+  if !audit_enabled && not (Ledger.Audit.remove a.a_audit node.id kind) then
     failwith
       (Printf.sprintf "heap audit: double free of %s#%d"
          (Ledger.Audit.kind_name kind) node.id);
@@ -82,7 +86,7 @@ let free_on (a : stats) (node : 'a counted) (kind : int) =
   node.rc <- min_int
 
 (** Leak check: returns descriptions of this domain's live allocations,
-    as [kind#id] in allocation order. *)
+    as [kind#id], by id. *)
 let live_allocations () =
   Ledger.Audit.live (stats ()).a_audit
   |> List.map (fun (id, kind) ->
@@ -110,9 +114,12 @@ let new_arr () : value = new_arr_on (stats ())
 
 let new_arr_node () : arr counted = alloc_arr (empty_arr_data ())
 
-(** An object of class [cls] owning [props] (one reference each). *)
+(** An object of class [cls] owning [props] (one reference each),
+    numbered in the domain's object id space. *)
 let new_obj (cls : int) (props : value array) : value =
-  VObj (alloc_on (stats ()) Ledger.Audit.kind_obj { cls; props })
+  let a = stats () in
+  a.a_next_obj <- a.a_next_obj + 1;
+  VObj (counted_on a Ledger.Audit.kind_obj a.a_next_obj { cls; props })
 
 (** IncRef: no-op on uncounted values.  Counted in [stats] so benchmarks can
     report refcounting-operation rates (the RCE pass reduces these). *)

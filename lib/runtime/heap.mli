@@ -11,7 +11,7 @@
     {!destructor_hook}.
 
     Accounting is per domain: the stats, audit table and allocation-id
-    counter are fields of the domain's {!Ledger.acct}, so parallel
+    counters are fields of the domain's {!Ledger.acct}, so parallel
     request serving neither races the audit table nor loses stat
     updates.  Hot callers that hold the account use the [_on] variants;
     the plain ones read the domain-local account themselves. *)
@@ -19,7 +19,7 @@
 open Value
 
 (** The domain's {!Ledger.acct}; the heap's fields are [allocated]
-    through [a_next_id]. *)
+    through [a_next_obj]. *)
 type stats = Ledger.acct = {
   mutable a_cycles : int;
   mutable a_interp : int;
@@ -32,6 +32,7 @@ type stats = Ledger.acct = {
   mutable decref_ops : int;
   a_audit : Ledger.Audit.t;
   mutable a_next_id : int;
+  mutable a_next_obj : int;
 }
 
 (** This domain's account (a live record: reads are current). *)

@@ -15,7 +15,7 @@
     back into its own with {!absorb} after joining them.
 
     The account also carries the domain's heap accounting ({!Heap}'s
-    stats, audit table and allocation-id counter) and its count of
+    stats, audit table and allocation-id counters) and its count of
     interpreted instructions, so one domain-local read gives a hot caller
     everything it charges or counts.  The SimCPU engine fetches the
     account once per machine (a machine is its domain's) and binds each
@@ -27,8 +27,10 @@
 (** The heap audit: the domain's live allocations, each an allocation id
     with its kind code, packed into one word ([id lsl 2 lor kind]) in an
     open-addressing [int array] (linear probing from [id land mask], at
-    most half full; 0 = an empty slot).  Ids are dense per domain, so the
-    id is its own hash, and an allocation or free writes one word of a
+    most half full; 0 = an empty slot).  Ids are dense per domain and per
+    id space (objects number apart from strings and arrays, so an object
+    and a string may share an id; the word tells them apart), so the id
+    is its own hash, and an allocation or free writes one word of a
     preallocated table: nothing is allocated per operation.  A removal
     shifts the rest of its probe run back (no tombstones), so a lookup
     stops at the first empty slot. *)
@@ -67,12 +69,13 @@ module Audit = struct
     insert t.slots ((id lsl 2) lor kind);
     t.n <- t.n + 1
 
-  (** Remove allocation [id]; false if it was not live. *)
-  let remove (t : t) (id : int) : bool =
+  (** Remove allocation [id] of kind [kind]; false if it was not live. *)
+  let remove (t : t) (id : int) (kind : int) : bool =
     let slots = t.slots in
     let mask = Array.length slots - 1 in
+    let word = (id lsl 2) lor kind in
     let i = ref (id land mask) in
-    while slots.(!i) <> 0 && slots.(!i) lsr 2 <> id do
+    while slots.(!i) <> 0 && slots.(!i) <> word do
       i := (!i + 1) land mask
     done;
     if slots.(!i) = 0 then false
@@ -93,7 +96,7 @@ module Audit = struct
       true
     end
 
-  (** The live allocations as [(id, kind code)], in allocation order. *)
+  (** The live allocations as [(id, kind code)], by id. *)
   let live (t : t) : (int * int) list =
     Array.fold_left
       (fun acc w -> if w = 0 then acc else (w lsr 2, w land 3) :: acc)
@@ -117,13 +120,17 @@ type acct = {
   mutable decref_ops : int;       (* dynamic count of DecRef operations *)
   (* live allocations; filled only while [Heap.audit_enabled] *)
   a_audit : Audit.t;
-  mutable a_next_id : int;        (* last allocation id handed out *)
+  mutable a_next_id : int;        (* last string/array id handed out *)
+  (* last object id handed out: objects number on their own, so the ids a
+     program prints do not depend on how many strings or arrays the
+     execution mode allocated before them *)
+  mutable a_next_obj : int;
 }
 
 let fresh () : acct =
   { a_cycles = 0; a_interp = 0; a_jit = 0; a_instrs = 0;
     allocated = 0; freed = 0; live = 0; incref_ops = 0; decref_ops = 0;
-    a_audit = Audit.create 256; a_next_id = 0 }
+    a_audit = Audit.create 256; a_next_id = 0; a_next_obj = 0 }
 
 let key : acct Domain.DLS.key = Domain.DLS.new_key fresh
 

@@ -1,19 +1,23 @@
-(** Parallel request serving: fan a deterministic request mix across
+(** Request serving: fan a deterministic request mix across
     [request_workers] domains over one shared translation cache.
 
     HHVM serves every web request on its own thread while all threads
     execute out of a single shared code cache (§2, §5).  This module
-    reproduces that shape with OCaml domains:
+    reproduces that shape with OCaml domains, through one request loop
+    for every worker count:
 
-    - the engine's dispatch state is split into an immutable published
-      {e epoch} (frozen srckey tables, chains and links, swapped with one
-      atomic store) and per-domain mutable state (monomorphic caches,
-      method-site caches, interpreter scratch) — see [Core.Engine]'s
-      serving API;
-    - each worker pins an epoch per request ([Engine.begin_request]) so a
-      concurrent retranslate-all is adopted only at request boundaries:
-      in-flight requests finish on the epoch they started with, never on
-      a half-published table;
+    - every domain dispatches through its own context in [Core.Engine]:
+      a pinned {e epoch} (immutable srckey tables and chains, swapped
+      with one atomic store), its machine, its monomorphic caches.  With
+      one worker the loop runs inline on the calling domain's context;
+      with more, each worker domain gets a fresh one;
+    - each request adopts the latest epoch at its boundary
+      ([Engine.begin_request]), so a concurrent retranslate-all is seen
+      only at request boundaries: in-flight requests finish on the epoch
+      they started with, never on a half-published table;
+    - a miss goes through the translation queue and the write lease; the
+      lease winner compiles, publishes an epoch delta and enters its code
+      at once.  One worker always wins, so it compiles inline;
     - profile counters accumulate per domain ([Vm.Prof.install_local])
       and fold into the canonical profile at the retranslate-all
       trigger, and vmstats / heap / ledger / machine counters are
@@ -24,10 +28,7 @@
     requests are claimed from an atomic cursor into {e slot-per-request}
     output and cycle arrays, and the aggregate hash folds outputs in
     request-index order — so per-request outputs and the output hash are
-    bit-identical for any worker count and any schedule.  [workers = 1]
-    serves inline on the calling domain through the historical fully
-    mutable dispatch path (lazy compile, link smashing), which the
-    parity tests pin the parallel path against.
+    bit-identical for any worker count and any schedule.
 
     Request-level observability rides the same boundaries: when spans
     are on ([--spans]), every request records an [Obs.Span] timeline
@@ -35,8 +36,8 @@
     dispatch hot path) and the profiler attributes its cycles; each
     domain buffers its own spans and the join merges them in request-
     slot order, the canonical order for any schedule.  {!measure} runs
-    the fully deterministic single-domain variant whose serving report
-    is byte-identical for any (jit x request) worker configuration. *)
+    the same loop on one fresh context, and its serving report is
+    byte-identical for any (jit x request) worker configuration. *)
 
 open Workloads.Endpoints
 
@@ -208,6 +209,31 @@ type worker_report = {
   wr_prof : (string * int) list;
 }
 
+(* Burst start, for every worker count: burst-scoped percentiles and
+   spans, and an empty translation queue (the quiescent point its reset
+   contract requires). *)
+let start_burst () =
+  Obs.Vmstats.reset_histogram h_request_cycles;
+  Obs.Span.reset_local ();
+  Core.Translate_queue.reset ()
+
+(** The request loop every serving domain runs: claim the next request
+    slot from [next] and serve it until the requests run out, flushing
+    the domain's profile increments at each boundary (a no-op on the
+    main profile). *)
+let serve_loop (u : Hhbc.Hunit.t) (eng : Core.Engine.t) ~outputs ~cycles
+    ~post ~(next : int Atomic.t) (requests : request array) : unit =
+  let n = Array.length requests in
+  let rec loop () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      serve_request u eng ~outputs ~cycles ~post requests i;
+      Vm.Prof.flush_local ();
+      loop ()
+    end
+  in
+  loop ()
+
 (** Serve [requests] and return per-request outputs/cycles plus the
     aggregate hash.  [workers] defaults to the engine's resolved
     [request_workers] option.  [trigger = (n, fn)] runs [fn] exactly once,
@@ -225,46 +251,25 @@ let run ?workers ?trigger ?each (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
   let n = Array.length requests in
   let outputs = Array.make n "" in
   let cycles = Array.make n 0 in
-  (* burst-start histogram reset: serving percentiles measure the burst *)
-  Obs.Vmstats.reset_histogram h_request_cycles;
-  Obs.Span.reset_local ();
+  start_burst ();
   let post = completion eng ?trigger ?each () in
+  let next = Atomic.make 0 in
   let t0 = Unix.gettimeofday () in
   let spans =
-    if workers <= 1 then begin
-      (* inline on the calling domain: the historical mutable dispatch path
-         (lazy compile, link smashing, shared profile) — no freezing *)
-      for i = 0 to n - 1 do
-        serve_request u eng ~outputs ~cycles ~post requests i
-      done;
+    if workers = 1 then begin
+      serve_loop u eng ~outputs ~cycles ~post ~next requests;
       Obs.Profiler.absorb (Obs.Profiler.take ());
       Obs.Span.merge [ Obs.Span.take () ]
     end
     else begin
-      (* Frozen fan-out.  Publish the current tables as an epoch and
-         freeze string interning (workers may intern novel constants);
-         every per-domain counter family accumulates on its worker's
-         domain until the join.  The translation-request queue restarts
-         empty: lazy in-burst translation is scoped per burst (this is
-         the quiescent point the queue's reset contract requires). *)
-      Core.Engine.publish_epoch eng;
-      Core.Translate_queue.reset ();
+      (* Fan-out.  Freeze string interning (workers may intern novel
+         constants); every per-domain counter family accumulates on its
+         worker's domain until the join. *)
       Hhbc.Hunit.freeze_interning true;
-      let next = Atomic.make 0 in
       let worker () : worker_report =
         Core.Engine.enter_serving eng;
         Vm.Prof.install_local ();
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else begin
-            serve_request u eng ~outputs ~cycles ~post requests i;
-            (* request boundary: fold this domain's profile increments into
-               the shared pending accumulator *)
-            Vm.Prof.flush_local ()
-          end
-        done;
+        serve_loop u eng ~outputs ~cycles ~post ~next requests;
         Vm.Prof.uninstall_local ();
         let machine = Core.Engine.exit_serving () in
         { wr_stats = Obs.Vmstats.local ();
@@ -323,6 +328,8 @@ let run ?workers ?trigger ?each (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
       (* profile increments flushed by workers but not yet folded into the
          canonical profile (no retranslate fired) are merged now *)
       Vm.Prof.merge_pending ();
+      (* the burst's end is the calling domain's request boundary *)
+      Core.Engine.adopt_here eng;
       Obs.Span.merge
         (Array.to_list (Array.map (fun r -> r.wr_spans) reports))
     end
@@ -358,11 +365,10 @@ type measured = {
   (** sum over [me_profile]; equals the sum of [sv_cycles] exactly *)
 }
 
-(** The deterministic measured burst behind [--serving-report]: serve
-    the mix in request-slot order on the calling domain through the
-    {e frozen} serving path (published epoch, per-request adoption,
-    lazy-translation queue, fresh machine), with spans and the profiler
-    forced on.
+(** The deterministic measured burst behind [--serving-report]: the
+    request loop of {!run} on one fresh dispatch context (new machine,
+    empty mono caches, the latest epoch), requests in slot order, with
+    spans and the profiler forced on.
 
     Why this is byte-identical for any (jit x request) worker
     configuration: parallel-burst per-request cycles are inherently
@@ -370,13 +376,12 @@ type measured = {
     code depends on when epoch deltas land; per-domain i-cache state is
     history-dependent), so a report measured over a parallel burst
     cannot be.  The measured burst removes the schedule: one domain, a
-    fresh machine ([enter_serving]), requests served in slot order, the
-    lease always uncontended, and [trigger] fired at a deterministic
-    completed count.  [jit_workers] only affects the retranslate-all
-    publish, which is deterministic by construction (PR 3), and
-    [request_workers] never enters the measurement — so the report, the
-    span log and the folded profile are all bit-stable.  (DESIGN.md §10
-    carries the full argument.) *)
+    fresh context, requests served in slot order, the lease always
+    uncontended, and [trigger] fired at a deterministic completed count.
+    [jit_workers] only affects the retranslate-all publish, which is
+    deterministic by construction, and [request_workers] never enters
+    the measurement — so the report, the span log and the folded profile
+    are all bit-stable.  (DESIGN.md §10 carries the full argument.) *)
 let measure ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
     (requests : request array) : measured =
   let n = Array.length requests in
@@ -385,21 +390,19 @@ let measure ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
   let s0 = !Obs.Span.enabled and p0 = !Obs.Profiler.enabled in
   Obs.Span.enabled := true;
   Obs.Profiler.enabled := true;
-  Obs.Span.reset_local ();
   Obs.Profiler.reset ();
-  Obs.Vmstats.reset_histogram h_request_cycles;
-  Core.Engine.publish_epoch eng;
-  Core.Translate_queue.reset ();
-  Core.Engine.enter_serving eng;
+  start_burst ();
   let post = completion eng ?trigger () in
   let t0 = Unix.gettimeofday () in
-  for i = 0 to n - 1 do
-    serve_request u eng ~outputs ~cycles ~post requests i
-  done;
+  Core.Engine.enter_serving eng;
+  Fun.protect
+    ~finally:(fun () ->
+        Option.iter (Core.Engine.merge_machine eng)
+          (Core.Engine.exit_serving ()))
+    (fun () ->
+       serve_loop u eng ~outputs ~cycles ~post ~next:(Atomic.make 0)
+         requests);
   let wall = Unix.gettimeofday () -. t0 in
-  (match Core.Engine.exit_serving () with
-   | Some m -> Core.Engine.merge_machine eng m
-   | None -> ());
   let spans = Obs.Span.merge [ Obs.Span.take () ] in
   Obs.Profiler.absorb (Obs.Profiler.take ());
   let profile = Obs.Profiler.folded_entries () in

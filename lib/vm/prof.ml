@@ -8,6 +8,9 @@
     - Targeted profiles (item 4): method-call receiver classes per call
       site, used by the method-dispatch optimization (§5.3.3), and function
       call counts used by function sorting (§5.1.1).
+    - TransCFG arc weights (§5.2.1): control transfers between profiling
+      blocks, keyed by the packed (src, dst) block-id pair.  The block
+      registry itself is {!Region.Transcfg}'s.
 
     {b Per-domain writes in parallel serving.}  The canonical profile lives
     in one main context; every consumer of the profile (region formation,
@@ -47,6 +50,9 @@ type ctx = {
   (* per-function entry counts (hotness): bumped on *every* PHP-level
      call, so a dense array rather than a hashtable *)
   mutable px_func_entries : int array;
+  (* TransCFG arc weights, by [arc_key]: an immediate int key, so an arc
+     bump hashes no tuple *)
+  px_arcs : (int, int ref) Hashtbl.t;
 }
 
 let fresh_ctx () : ctx =
@@ -54,15 +60,14 @@ let fresh_ctx () : ctx =
     px_method_targets = Hashtbl.create 64;
     px_method_names = Hashtbl.create 64;
     px_call_edges = Hashtbl.create 256;
-    px_func_entries = Array.make 256 0 }
+    px_func_entries = Array.make 256 0;
+    px_arcs = Hashtbl.create 256 }
 
 (** The canonical profile: all reads, and main-domain writes. *)
 let main_ctx : ctx = fresh_ctx ()
 
 (* The domain's write target; main context unless a worker installed a
-   private one.  Counter ids are allocated from the main domain only
-   (profiling compiles never run on serving workers), so worker contexts
-   just mirror the id space. *)
+   private one.  Worker contexts mirror the counter-id space. *)
 let write_key : ctx Domain.DLS.key = Domain.DLS.new_key (fun () -> main_ctx)
 
 let wctx () : ctx = Domain.DLS.get write_key
@@ -183,6 +188,40 @@ let func_entry_count (fid : int) =
   let a = main_ctx.px_func_entries in
   if fid < Array.length a then a.(fid) else 0
 
+(* --- TransCFG arcs --- *)
+
+let arc_key ~(src : int) ~(dst : int) : int = (src lsl 31) lor dst
+let arc_unkey (k : int) : int * int = (k lsr 31, k land 0x7FFF_FFFF)
+
+let c_arc_events = Obs.Vmstats.counter "region.arc_events"
+
+(** Count one transfer from profiling block [src] to [dst] in this
+    domain's write context. *)
+let record_arc ~(src : int) ~(dst : int) =
+  Obs.Vmstats.bump c_arc_events;
+  let c = wctx () in
+  let key = arc_key ~src ~dst in
+  match Hashtbl.find c.px_arcs key with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.replace c.px_arcs key (ref 1)
+
+(** Fold over the canonical profile's arcs: [f src dst weight acc]. *)
+let fold_arcs (f : int -> int -> int -> 'a -> 'a) (acc : 'a) : 'a =
+  Hashtbl.fold
+    (fun k w acc -> let s, d = arc_unkey k in f s d !w acc)
+    main_ctx.px_arcs acc
+
+(** Drop every canonical arc with an endpoint that [dead] names. *)
+let prune_arcs (dead : int -> bool) : unit =
+  let keys =
+    Hashtbl.fold
+      (fun k _ acc ->
+         let s, d = arc_unkey k in
+         if dead s || dead d then k :: acc else acc)
+      main_ctx.px_arcs []
+  in
+  List.iter (Hashtbl.remove main_ctx.px_arcs) keys
+
 (* --- per-domain accumulation and merge --- *)
 
 let clear_ctx (c : ctx) =
@@ -190,7 +229,8 @@ let clear_ctx (c : ctx) =
   Hashtbl.reset c.px_method_targets;
   Hashtbl.reset c.px_method_names;
   Hashtbl.reset c.px_call_edges;
-  Array.fill c.px_func_entries 0 (Array.length c.px_func_entries) 0
+  Array.fill c.px_func_entries 0 (Array.length c.px_func_entries) 0;
+  Hashtbl.reset c.px_arcs
 
 (* Additive merge of [src] into [dst].  [bump_version] marks structural
    novelty against the canonical profile (merge_pending); accumulating a
@@ -248,7 +288,15 @@ let merge_into (dst : ctx) ~(bump_version : bool) (src : ctx) =
          end;
          dst.px_func_entries.(fid) <- dst.px_func_entries.(fid) + n
        end)
-    src.px_func_entries
+    src.px_func_entries;
+  (* arcs go in in key order, the order a jumpstart import has always
+     replayed them in, so an imported table folds in that same order *)
+  Hashtbl.fold (fun k w acc -> (k, !w) :: acc) src.px_arcs []
+  |> List.sort compare
+  |> List.iter (fun (k, w) ->
+      match Hashtbl.find_opt dst.px_arcs k with
+      | Some r -> r := !r + w
+      | None -> Hashtbl.replace dst.px_arcs k (ref w))
 
 (* Profile deltas flushed by workers, awaiting the retranslate trigger. *)
 let pending : ctx = fresh_ctx ()

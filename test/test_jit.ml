@@ -314,6 +314,19 @@ let programs = [
       }
       echo $s;
     } |});
+  ("object ids do not depend on the mode", {|
+    class P { public $v = 0; }
+    function oid($o) {
+      $s = var_dump_str($o);
+      return intval(substr($s, 7, strpos($s, "(") - 7));
+    }
+    function main() {
+      $a = new P();
+      $s = "";
+      for ($n = 0; $n < 50; $n++) { $s = "alpha" . $n; }
+      $b = new P();
+      echo oid($b) - oid($a), ":", $s;
+    } |});
 ]
 
 (* Object construction: every object copies its class's template and
@@ -541,7 +554,8 @@ let engine_tests = [
       in
       let out1 = call () in
       let _ = call () in
-      (* collect every translation reachable from the dispatch tables *)
+      (* collect every translation reachable from the dispatch tables
+         and the main domain's monomorphic caches *)
       let collect () =
         let ids = ref [] and monos = ref 0 in
         Array.iter
@@ -549,17 +563,19 @@ let engine_tests = [
              Array.iter
                (function
                  | Some (sl : Core.Engine.slot) ->
-                   (match sl.sl_mono with
-                    | Some ((tr : Core.Translation.t), _) ->
-                      incr monos;
-                      ids := tr.tr_id :: !ids
-                    | None -> ());
                    for i = 0 to sl.sl_len - 1 do
                      ids := sl.sl_chain.(i).Core.Translation.tr_id :: !ids
                    done
                  | None -> ())
                row)
           eng.Core.Engine.trans;
+        Array.iter
+          (Array.iter (function
+             | Some ((tr : Core.Translation.t), _) ->
+               incr monos;
+               ids := tr.tr_id :: !ids
+             | None -> ()))
+          (Core.Engine.ctx eng).Core.Engine.dx_mono;
         (List.sort_uniq compare !ids, !monos)
       in
       let old_ids, old_monos = collect () in

@@ -427,7 +427,10 @@ let test_lazy_lease_contention () =
     | None -> Alcotest.fail ("no such function: " ^ ep.ep_entry)
   in
   Alcotest.(check int) "exactly one translation at the contended srckey"
-    1 (Core.Engine.chain_length eng ~fid ~pc:0);
+    1
+    (match Core.Engine.slot_at eng.trans fid 0 with
+     | Some sl -> sl.sl_len
+     | None -> 0);
   Alcotest.(check bool) "lazy compiles landed" true (lazy_compiled > 0)
 
 let test_serving_lazy_determinism () =
@@ -537,8 +540,8 @@ let test_publish_epoch_rows () =
          Alcotest.(check int) (what ^ ": sl_len") l.sl_len e.sl_len;
          Alcotest.(check bool) (what ^ ": same translations") true
            (Array.for_all2 ( == ) e.sl_chain (Array.sub l.sl_chain 0 l.sl_len));
-         Alcotest.(check bool) (what ^ ": no mono cache") true
-           (e.sl_mono = None)
+         Alcotest.(check bool) (what ^ ": a private copy of the live slot")
+           true (e != l)
        | _ -> Alcotest.fail (what ^ ": slot presence differs"))
     live
 
@@ -615,6 +618,73 @@ let test_lifecycle_evict_mid_chain () =
   check_serving_equal "eviction changes no output @ 1 worker" r_plain r1;
   let r4, _ = run_with_evict 4 in
   check_serving_equal "mass eviction mid-burst @ 4 workers" r_plain r4
+
+(* After a domain adopts an epoch it never enters a translation the epoch
+   does not hold.  The measured burst serves on one fresh context in slot
+   order and fires a mass eviction halfway; that context adopts the
+   eviction's epoch at once, so from then on no victim may gain an entry
+   on its machine — not through its monomorphic caches, not through a
+   link, not through a chain walk. *)
+let test_no_victim_entries () =
+  let u, eng = serving_engine () in
+  let requests = Server.Serving.mix ~rounds:6 () in
+  let victims = ref [] in
+  let evict_all () =
+    ignore (Core.Engine.evict_cold eng ~threshold:max_int);
+    ignore (Core.Engine.evict_cold eng ~threshold:max_int);
+    let m = (Core.Engine.ctx eng).Core.Engine.dx_machine in
+    victims :=
+      List.filter_map
+        (fun (_, _, (tr : Core.Translation.t)) ->
+           if tr.tr_evicted then
+             Some (m, tr, Core.Exec.execs m tr.tr_prog)
+           else None)
+        (Array.to_list eng.Core.Engine.last_opt)
+  in
+  let me =
+    Server.Serving.measure ~trigger:(Array.length requests / 2, evict_all)
+      u eng requests
+  in
+  check_serving_equal "mass eviction in the measured burst" (serving_run 1)
+    me.Server.Serving.me_result;
+  Alcotest.(check bool) "the eviction had victims" true (!victims <> []);
+  Alcotest.(check int) "entries into victims after the adoption" 0
+    (List.fold_left
+       (fun acc (m, (tr : Core.Translation.t), before) ->
+          acc + Core.Exec.execs m tr.tr_prog - before)
+       0 !victims)
+
+(* Per-domain counts fold exactly at the join: on a cold engine, where
+   every worker profiles, lazily compiles and runs profiling code, each
+   run of a translation ends in exactly one [exit.*] event and each
+   TransCFG arc event adds one to one arc's weight — at any worker
+   count. *)
+let test_counts_fold () =
+  List.iter
+    (fun w ->
+       let u, eng = cold_engine () in
+       ignore
+         (Server.Serving.run ~workers:w u eng (Server.Serving.mix ~rounds:3 ()));
+       let cv = Obs.Vmstats.counter_value in
+       let execs =
+         Array.fold_left ( + ) 0 eng.Core.Engine.machine.Core.Exec.execs
+       in
+       let exits =
+         List.fold_left (fun acc n -> acc + cv ("exit." ^ n)) 0
+           [ "return"; "bind"; "interp_anchor"; "inline"; "unwind" ]
+       in
+       Alcotest.(check bool)
+         (Printf.sprintf "translations ran @ %d workers" w) true (execs > 0);
+       Alcotest.(check int)
+         (Printf.sprintf "folded execs = exit events @ %d workers" w)
+         exits execs;
+       let arcs = Vm.Prof.fold_arcs (fun _ _ n acc -> acc + n) 0 in
+       Alcotest.(check bool)
+         (Printf.sprintf "arcs recorded @ %d workers" w) true (arcs > 0);
+       Alcotest.(check int)
+         (Printf.sprintf "folded arc weights = arc events @ %d workers" w)
+         (cv "region.arc_events") arcs)
+    workers_counts
 
 (* ---- SimCPU execution after compaction, and its allocation ---- *)
 
@@ -895,6 +965,10 @@ let suite =
         test_lifecycle_parity;
       Alcotest.test_case "lifecycle: mass eviction mid-chain-follow" `Quick
         test_lifecycle_evict_mid_chain;
+      Alcotest.test_case "lifecycle: no victim entered after adoption"
+        `Quick test_no_victim_entries;
+      Alcotest.test_case "counts: per-domain execs and arcs fold exactly"
+        `Quick test_counts_fold;
       Alcotest.test_case "exec: compaction refreshes fetch addresses" `Quick
         test_compaction_fetch_addresses;
       Alcotest.test_case "exec: minor words per Region request" `Quick
